@@ -45,12 +45,12 @@ tax — deterministically (simulation cycles, not wall clock), so an
 MSHR policy regression cannot ride in behind healthy throughput
 numbers.  Skipped for payloads that predate the v5 suite.
 
-Schema-v7 payloads carry a ``batch_curve`` section: the closed-form
-window evaluator's speedup across pinned ``batch_window`` sizes, each
+Schema-v7 payloads carry a ``batch_curve`` section: the batch
+engine's speedup across pinned ``batch_window`` sizes, each
 point digest-checked against the scalar engine before the bench reports
 it.  The gate holds every baseline point's speedup to the shared
 ``--threshold``, matched by window size.  Like the batched column, the
-closed-form column is load-bearing once measured: a baseline with a
+curve is load-bearing once measured: a baseline with a
 curve and a current run without one (or missing a baseline window) is a
 **failure**, not a skip — only baselines that predate schema v7 skip
 the gate.
@@ -129,12 +129,12 @@ def check_mshr_dominance(speedups, failures):
 
 
 def check_curve(base, cur, threshold, failures):
-    """Gate the schema-v7 closed-form speedup curve.
+    """Gate the schema-v7 batch_window speedup curve.
 
     Each baseline point's speedup (matched by ``batch_window``) is held
     to the shared ``--threshold``.  A baseline with a curve and a
     current run without one — or without one of the baseline's windows
-    — is a failure: the closed-form column must not silently drop out
+    — is a failure: the curve must not silently drop out
     of the bench.  Pre-v7 baselines (no curve) skip."""
     if base is None:
         if cur is not None:

@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="where BENCH_<date>.json lands (default results/)")
     bench_p.add_argument(
         "--profile", action="store_true",
-        help="capture a cProfile of one untimed closed-form run per"
+        help="capture a cProfile of one untimed batched run per"
              " cell into <out-dir>/profiles/*.pstats")
 
     analyze_p = sub.add_parser(
@@ -628,7 +628,7 @@ def _cmd_bench(args) -> int:
         points = "  ".join(
             f"w={p['batch_window']}: {p['speedup']:.2f}x"
             for p in curve["points"])
-        print(f"closed-form speedup curve ({'/'.join(curve['workloads'])}"
+        print(f"batch_window speedup curve ({'/'.join(curve['workloads'])}"
               f" x {'/'.join(curve['variants'])}): {points}")
     if profile_dir is not None:
         print(f"wrote per-cell profiles to {profile_dir}/")

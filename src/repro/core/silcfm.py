@@ -237,16 +237,6 @@ class SilcFmScheme(MemoryScheme):
         return (True, way * BLOCK_BYTES + index * SUBBLOCK_BYTES,
                 SUBBLOCK_BYTES, False)
 
-    def steady_window_certificate(self, now: float) -> float:
-        """Every SILC-FM state transition — swaps, lock grants/releases,
-        aging ticks, predictor and balancer updates — is driven by the
-        access stream itself (the aging clock counts *accesses*, not
-        cycles), so there is no timed event to fence and the certificate
-        is unbounded.  Accesses whose transition cannot be expressed as
-        the single-op fast shape already re-enter the full plan path via
-        ``access_fast`` returning None."""
-        return float("inf")
-
     # ------------------------------------------------------------------
     # telemetry (pull-based probes + event hooks)
     # ------------------------------------------------------------------

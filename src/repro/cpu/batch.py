@@ -65,8 +65,7 @@ class BatchCore(Core):
         #: call site builds a fresh bound method per miss.
         self._retire = self._miss_done
         #: likewise the issue callback: ``_advance`` schedules it once
-        #: per miss, and the closed-form evaluator recognises issue
-        #: events by this method's identity.
+        #: per miss.
         self._issue_bound = self._issue_cols
 
     def _advance(self) -> None:
@@ -140,12 +139,6 @@ class BatchFlatMemoryController(FlatMemoryController):
         #: recycled transactions for the compatibility front door
         #: (``mshr_entries = 0``; with an MSHR file the file owns them).
         self._pool: List[MemoryRequest] = []
-        #: fast-shape consult outcome counters (two-tier clock
-        #: attribution: the per-scheme decline rate is
-        #: ``declined / (accepted + declined)``).  Pure observation —
-        #: incremented outside the simulated timeline, never read by it.
-        self.fast_accepted = 0
-        self.fast_declined = 0
 
     # ------------------------------------------------------------------
     def handle_miss(self, paddr: int, is_write: bool, pc: int,
@@ -189,18 +182,7 @@ class BatchFlatMemoryController(FlatMemoryController):
                 del self.handle_request
                 halt()
 
-        def disarm() -> None:
-            if armed[0]:
-                armed[0] = False
-                del self.handle_request
-
         self.handle_request = checking
-        #: the closed-form evaluator inlines the dispatch body and so
-        #: performs the threshold check itself; when it fires it disarms
-        #: this wrapper through the hook so that rare generic-dispatch
-        #: events during warmup (MSHR drains, stalled retries) still go
-        #: through ``checking`` until then.
-        self._disarm_warmup = disarm
 
     def _recycle(self, txn: MemoryRequest) -> None:
         """Return a completed fast-path transaction to the pool (called
@@ -229,7 +211,6 @@ class BatchFlatMemoryController(FlatMemoryController):
         fast = self.scheme.access_fast(txn.paddr, txn.is_write, txn.pc)
         stats = self.stats
         if fast is not None:
-            self.fast_accepted += 1
             is_nm, addr, size, op_write = fast
             if is_nm:
                 stats.demand_nm_bytes += size
@@ -241,14 +222,8 @@ class BatchFlatMemoryController(FlatMemoryController):
             txn.state = STAGING
             device.access_turbo(addr, size, op_write, True, txn.fast_done)
             return
-        self._dispatch_declined(txn, now)
-
-    def _dispatch_declined(self, txn: MemoryRequest, now: float) -> None:
-        """Scheme declined the fast shape: build the full plan,
-        mirroring the scalar ``handle_request`` step for step.  Split
-        out so the closed-form evaluator (which inlines the accepted
-        shape) can call the cold half directly."""
-        self.fast_declined += 1
+        # declined: build the full plan, mirroring the scalar
+        # ``handle_request`` step for step
         plan = self.scheme.access(txn.paddr, txn.is_write, txn.pc)
         txn.plan = plan
         txn.stages = plan.stages

@@ -377,10 +377,9 @@ class MSHRFile:
             pool.append(txn)
 
     def _drain_pending(self) -> None:
-        """Admit queued misses (FIFO) into freed entries.  Split out of
-        :meth:`release` so the closed-form evaluator — which inlines the
-        wake loop above — re-enters here only when the queue is actually
-        non-empty (it never is at the MLP-sized default file)."""
+        """Admit queued misses (FIFO) into freed entries (called from
+        :meth:`release` only when the queue is non-empty, which it never
+        is at the MLP-sized default file)."""
         self._draining = True
         try:
             while self._pending and self._occupied < self.entries:

@@ -29,6 +29,7 @@ from repro.dram.channel import ChannelStats
 from repro.dram.device import MemoryDevice
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.schemes.base import MemoryScheme, SchemeStats
+from repro.sim import window
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, SimulationError
 from repro.telemetry import Telemetry
@@ -85,26 +86,10 @@ class RunResult:
     # ------------------------------------------------------------------
     # JSON round-trip (the experiment executor's on-disk result cache)
     # ------------------------------------------------------------------
-    #: extras keys that are *observations of the runtime*, not of the
-    #: simulated machine: the two-tier clock attribution counters
-    #: (``cf.*``) and the span-suppression flag.  They differ between
-    #: the scalar and batched twins by construction, so the canonical
-    #: wire/cache form excludes them — exactly like ``telemetry=None``
-    #: omission — keeping every golden and equivalence digest
-    #: byte-identical with observability enabled.
-    _OBSERVATION_PREFIX = "cf."
-    _OBSERVATION_KEYS = frozenset({"spans_suppressed"})
-
-    @classmethod
-    def _is_observation_key(cls, key: str) -> bool:
-        return (key.startswith(cls._OBSERVATION_PREFIX)
-                or key in cls._OBSERVATION_KEYS)
-
     def to_dict(self) -> Dict:
         """A JSON-serialisable dict that :meth:`from_dict` inverts exactly
         (every stats field is an int/float, which ``json`` round-trips
-        bit-identically).  Observation-only extras (``cf.*``,
-        ``spans_suppressed``) are in-memory only and excluded here."""
+        bit-identically)."""
         import dataclasses
 
         data = {
@@ -118,8 +103,7 @@ class RunResult:
             "fm_stats": dataclasses.asdict(self.fm_stats),
             "energy": dataclasses.asdict(self.energy),
             "edp": self.edp,
-            "extras": {k: v for k, v in self.extras.items()
-                       if not self._is_observation_key(k)},
+            "extras": dict(self.extras),
         }
         if self.telemetry is not None:
             data["telemetry"] = self.telemetry
@@ -192,19 +176,8 @@ class System:
         #: (miss mode only; reference mode always runs scalar).
         use_batch = config.batch_window > 0 and mode == "miss"
         self._use_batch = use_batch
-        #: set by the closed-form evaluator if it ever runs with span
-        #: tracing configured: spans would silently record nothing, so
-        #: the condition is surfaced as an explicit ``spans_suppressed``
-        #: extras flag (observation-only; excluded from ``to_dict``).
-        self._spans_suppressed = False
-        #: two-tier clock attribution counters (fused vs generic heap
-        #: dispatch), populated by ``repro.sim.window.run_closed_form``.
-        self.clock_stats = None
         if use_batch:
             from repro.cpu.batch import BatchCore, BatchFlatMemoryController
-            from repro.sim.window import ClockStats
-
-            self.clock_stats = ClockStats()
 
             controller_cls = BatchFlatMemoryController
             # fuse each channel's queued data plane (instance-level
@@ -329,20 +302,6 @@ class System:
                   lambda: sum(c.stats.stall_events for c in cores))
         hub.gauge("cpu.finished_cores",
                   lambda: float(sum(c.finished for c in cores)))
-        if (self.clock_stats is not None and self.oracle is None
-                and self.config.span_sample_rate == 0):
-            # two-tier clock attribution, only when the closed-form
-            # evaluator can actually engage (batch mode, no spans, no
-            # oracle — the construction-time half of System.run's
-            # use_cf gate).  Span/oracle runs keep generic dispatch, so
-            # registering always-zero clock.* meters there would only
-            # break their telemetry digest against the scalar twin.
-            clock = self.clock_stats
-            ctrl = self.controller
-            hub.meter("clock.fused", lambda: clock.fused)
-            hub.meter("clock.generic", lambda: clock.generic)
-            hub.meter("clock.fast_accepted", lambda: ctrl.fast_accepted)
-            hub.meter("clock.fast_declined", lambda: ctrl.fast_declined)
         # sampler stops with the cores so it cannot keep a drained
         # simulation alive (or mask a lost-completion-callback bug)
         hub.attach(self.engine,
@@ -402,27 +361,12 @@ class System:
         collecting = self._use_batch and gc.isenabled()
         if collecting:
             gc.disable()
-        #: two-tier clock (repro.sim.window): the closed-form window
-        #: evaluator replaces Engine.run's generic dispatch whenever the
-        #: dense-shape transcriptions apply — batch mode with no oracle,
-        #: no span tracing, and no watchdog (the evaluator has no
-        #: max_events accounting; validation runs keep generic dispatch).
-        use_cf = (self._use_batch and max_events is None
-                  and self.oracle is None and self.spans is None)
-        if use_cf:
-            from repro.sim.window import run_closed_form
-        elif self._use_batch:
-            from repro.obs import log as obs_log
-
-            obs_log.get_logger("repro.cpu.system").debug(
-                "closed_form_disabled",
-                scheme=self.scheme.name,
-                spans=self.spans is not None,
-                oracle=self.oracle is not None,
-                watchdog=max_events is not None,
-            )
+        # batch mode without a watchdog runs through the batch drive
+        # loop (``window.run_closed_form``, looked up on the module so a
+        # tracer's wrapper takes effect)
+        drive = self._use_batch and max_events is None
         try:
-            if warming and self._use_batch and max_events is None:
+            if warming and drive:
                 # batch engine: the warmup reset point is a *miss-count*
                 # crossing, which only ever moves inside a demand-dispatch
                 # event — so the controller halts the fast loop at the
@@ -431,14 +375,7 @@ class System:
                 # Engine.run stops right after the event during which the
                 # count crossed, exactly where the step loop's check
                 # would have fired.
-                self.controller.arm_warmup_halt(self._warmup_misses)
-                if use_cf:
-                    # the evaluator performs the wrapper's check inline
-                    # on fused dispatches; the armed wrapper still
-                    # covers generically-dispatched ones.
-                    run_closed_form(self, self._warmup_misses)
-                else:
-                    engine.run()
+                window.run_closed_form(self, self._warmup_misses)
                 self._check_warmup()
                 if self._warmup_done_at is None:
                     raise SimulationError(
@@ -462,8 +399,8 @@ class System:
             if self._finished < total:
                 self._halt_on_done = True
                 try:
-                    if use_cf:
-                        run_closed_form(self)
+                    if drive:
+                        window.run_closed_form(self)
                     else:
                         engine.run(max_events=(None if max_events is None
                                                else max_events - dispatched))
@@ -516,20 +453,6 @@ class System:
                 self.mshr.stats.structural_stalls)
             extras["mshr_peak_occupancy"] = float(
                 self.mshr.stats.peak_occupancy)
-        if self.clock_stats is not None:
-            # two-tier clock attribution (observation-only keys: the
-            # ``cf.`` prefix is excluded from ``to_dict``, so the cached
-            # wire form of a batched run still matches its scalar twin)
-            ctrl = self.controller
-            consults = ctrl.fast_accepted + ctrl.fast_declined
-            if self.clock_stats.dispatched or consults:
-                extras.update(self.clock_stats.as_extras())
-                extras["cf.fast_accepted"] = float(ctrl.fast_accepted)
-                extras["cf.fast_declined"] = float(ctrl.fast_declined)
-                if consults:
-                    extras["cf.decline_rate"] = ctrl.fast_declined / consults
-        if self._spans_suppressed:
-            extras["spans_suppressed"] = 1.0
         telemetry_snap = None
         if self.telemetry is not None:
             telemetry_snap = self.telemetry.snapshot()

@@ -73,22 +73,6 @@ class Bank:
         return cas_at + self._t.t_cas * cpm
 
     # ------------------------------------------------------------------
-    # two-tier clock support (repro.sim.window / repro.dram.batch): the
-    # closed-form window evaluator advances bank state in window-sized
-    # steps; these helpers make that an explicit, tested protocol
-    # instead of ad-hoc attribute pokes.
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple:
-        """The complete timing state ``prepare`` reads or writes —
-        ``(open_row, ready, activated_at)``.  Counters are excluded:
-        they accumulate monotonically and are never rolled back."""
-        return (self.open_row, self.ready, self._activated_at)
-
-    def restore(self, state: tuple) -> None:
-        """Reinstate a :meth:`snapshot` — exact, including the float
-        bit patterns (the tuple holds the original objects)."""
-        self.open_row, self.ready, self._activated_at = state
-
     def prepare_window(self, row: int, count: int, now: float) -> list:
         """Advance-by-window: fold ``count`` same-row accesses arriving
         together at ``now`` and return each access's data-ready time.

@@ -76,14 +76,13 @@ from repro.stats.collectors import geometric_mean
 #: (cells/sec), hot cache-hit throughput and service latency
 #: (p50/p95 ms), dedup hit rate, and the exactly-once/conservation
 #: correctness witnesses the gate hard-fails on.
-#: v7: the payload gained a ``batch_curve`` section — the closed-form
-#: window evaluator (:mod:`repro.sim.window`) swept across
-#: ``batch_window`` sizes (:data:`BENCH_CURVE_WINDOWS`, window 0 being
-#: the scalar reference) over the pinned quick-suite cells, each point
-#: digest-checked against the scalar run.  The regression gate treats a
-#: missing curve against a v7+ baseline as a failure (pre-v7 baselines
-#: skip), so the closed-form column cannot silently drop out of the
-#: bench.
+#: v7: the payload gained a ``batch_curve`` section — the batch engine
+#: swept across ``batch_window`` sizes (:data:`BENCH_CURVE_WINDOWS`,
+#: window 0 being the scalar reference) over the pinned quick-suite
+#: cells, each point digest-checked against the scalar run.  The
+#: regression gate treats a missing curve against a v7+ baseline as a
+#: failure (pre-v7 baselines skip), so the curve cannot silently drop
+#: out of the bench.
 BENCH_SCHEMA_VERSION = 7
 
 #: pinned seed — throughput comparisons need identical event streams.
@@ -105,7 +104,7 @@ BENCH_BATCH_WINDOW = 256
 
 #: ``batch_window`` sweep for the v7 speedup curve.  Window 0 is the
 #: scalar reference engine (the curve's denominator); the rest exercise
-#: the closed-form evaluator at increasing trace-window sizes.  Pinned
+#: the batch engine at increasing trace-window sizes.  Pinned
 #: like everything else: the curve is only comparable across checkouts
 #: if every run sweeps the same points.
 BENCH_CURVE_WINDOWS = (0, 256, 1024, 4096)
@@ -201,7 +200,7 @@ def run_batch_curve(config: Optional[SystemConfig] = None) -> Dict:
                     scalar_digests[(key, workload)] = digest
                 elif digest != scalar_digests[(key, workload)]:
                     raise AssertionError(
-                        f"closed-form evaluator diverged from scalar on "
+                        f"batch engine diverged from scalar on "
                         f"curve cell {key}/{workload} at "
                         f"batch_window={window}; run the equivalence "
                         "suite (tests/integration/"
@@ -229,7 +228,7 @@ def run_bench(quick: bool = False,
     """Run the pinned set; returns the ``BENCH_*.json`` payload.
 
     ``profile_dir`` (the ``--profile`` flag) additionally captures a
-    cProfile of one *untimed* closed-form run per cell, written as
+    cProfile of one *untimed* batched run per cell, written as
     ``<key>-<workload>.pstats`` side artifacts — outside the
     ``perf_counter`` windows, so the reported throughput stays
     comparable to unprofiled baselines.  Inspect with::
@@ -287,9 +286,9 @@ def run_bench(quick: bool = False,
                     f"{key}/{workload}; run the equivalence suite "
                     "(tests/integration/test_batch_equivalence.py)")
             if profile_dir is not None:
-                # untimed profiled re-run of the closed-form cell, so
-                # residual evaluator hotspots are measurable instead of
-                # guessed (kept outside the perf_counter windows).
+                # untimed profiled re-run of the batched cell, so
+                # hotspots are measurable instead of guessed (kept
+                # outside the perf_counter windows).
                 import cProfile
 
                 profiler = cProfile.Profile()
@@ -353,7 +352,7 @@ def run_bench(quick: bool = False,
 
     service = run_service_bench(quick=quick)
 
-    # v7: the closed-form evaluator's batch_window speedup curve (same
+    # v7: the batch engine's batch_window speedup curve (same
     # pinned definition for quick and full runs).
     batch_curve = run_batch_curve(config)
 

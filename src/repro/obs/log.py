@@ -199,8 +199,7 @@ class BoundLogger:
         """Emit a warning only the first time ``(logger, event)`` fires.
 
         Returns True when the record was emitted, False when it was
-        suppressed as a repeat.  Used for per-run conditions (e.g. span
-        suppression under the closed-form evaluator) that would
+        suppressed as a repeat.  Used for per-run conditions that would
         otherwise spam one line per window.
         """
         key = (self.name, event)

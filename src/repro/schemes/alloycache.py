@@ -112,11 +112,6 @@ class AlloyCacheScheme(MemoryScheme):
         stats.nm_serviced += 1
         return (True, slot * SUBBLOCK_BYTES, TAD_BYTES, False)
 
-    def steady_window_certificate(self, now: float) -> float:
-        """Alloy's fills and evictions happen per miss, inside
-        ``access``; there is no timed machinery to fence."""
-        return float("inf")
-
     # ------------------------------------------------------------------
     def locate(self, paddr: int) -> Tuple[Level, int]:
         """Where the *current* copy of the data is serviced from.

@@ -205,33 +205,6 @@ class MemoryScheme(abc.ABC):
         """Epoch-driven schemes (HMA) return their interval; others None."""
         return None
 
-    def steady_window_certificate(self, now: float) -> float:
-        """Tier-2 steady-state certificate: the engine cycle up to which
-        this scheme guarantees no *timed* state-changing machinery of
-        its own (epoch timers, decay clocks) will fire.
-
-        The closed-form window evaluator (:mod:`repro.sim.window`) runs
-        its fused data plane only for events strictly before this
-        horizon; at or past it, events re-enter the generic Tier-1
-        dispatch and the certificate is re-queried.  Access-driven state
-        changes (swaps, locks, installs, predictor updates) need no
-        certificate — they happen inside :meth:`access`/
-        :meth:`access_fast`, which both tiers call identically.
-
-        The certificate may *under*-shoot (forcing a harmless early
-        re-entry into Tier-1 dispatch) but correctness never depends on
-        it: the evaluator keeps the controller's epoch-stall check
-        inline regardless.  Schemes with no timed machinery return
-        ``inf`` — the whole run is one steady-state window.
-        """
-        period = self.epoch_period_cycles()
-        if period is None:
-            return float("inf")
-        # Next epoch boundary by division.  The controller's timer chain
-        # accumulates ``now + period`` floats, so division can only
-        # *under*-estimate the true event time — the safe direction.
-        return (now // period + 1.0) * period
-
     def epoch(self) -> Tuple[List[Op], float]:
         """Run one epoch: returns (migration traffic, OS stall cycles)."""
         return [], 0.0

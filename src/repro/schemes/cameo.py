@@ -81,12 +81,6 @@ class CameoScheme(MemoryScheme):
         stats.nm_serviced += 1
         return (True, group * SUBBLOCK_BYTES, DATA_PLUS_META_BYTES, False)
 
-    def steady_window_certificate(self, now: float) -> float:
-        """CAMEO's swaps are access-driven (they fire inside ``access``,
-        never from a timer), so the certificate is unbounded.  CAMEOP's
-        prefetches ride the same access path and inherit this."""
-        return float("inf")
-
     def _swap_in(self, group: int, sb: int, home: int) -> List[Op]:
         """Install ``sb`` (read from FM ``home``) into NM slot ``group``,
         displacing the current occupant into ``home``."""

@@ -133,17 +133,6 @@ class HmaScheme(MemoryScheme):
     def epoch_period_cycles(self) -> float:
         return self.epoch_cycles
 
-    def steady_window_certificate(self, now: float) -> float:
-        """HMA is the one scheme with timed machinery: the OS epoch
-        fires every ``epoch_cycles`` on the controller's timer and both
-        bulk-migrates pages and stalls demand dispatch.  The certificate
-        is the next epoch boundary (the base-class division form, which
-        can only under-shoot the timer chain's accumulated float) — the
-        evaluator re-enters Tier-1 dispatch there, runs the epoch event
-        and its stall window generically, then re-certifies."""
-        period = self.epoch_cycles
-        return (now // period + 1.0) * period
-
     def epoch(self) -> Tuple[List[Op], float]:
         """OS epoch: select hot pages, bulk-migrate, reset counters.
 

@@ -132,11 +132,6 @@ class PomScheme(MemoryScheme):
         return (False, self._fm_offset_of_block(home) + aligned,
                 SUBBLOCK_BYTES, False)
 
-    def steady_window_certificate(self, now: float) -> float:
-        """PoM's competing counters and 4 KB migrations are all
-        access-driven; nothing fires on a clock."""
-        return float("inf")
-
     def _remap_lookup(self, frame: int) -> List[List[Op]]:
         """SRAM remap-cache check: a hit routes the access for free, a
         miss prepends an NM metadata fetch to the critical path."""

@@ -53,11 +53,6 @@ class StaticScheme(MemoryScheme):
         offset = space.fm_offset(paddr)
         return (False, offset - offset % 64, 64, is_write)
 
-    def steady_window_certificate(self, now: float) -> float:
-        """Static placement never changes state on a clock — the whole
-        run is one closed-form window."""
-        return float("inf")
-
     def locate(self, paddr: int) -> Tuple[Level, int]:
         if self.space.is_nm(paddr):
             return Level.NM, self.space.nm_offset(paddr)

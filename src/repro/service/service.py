@@ -37,6 +37,7 @@ import time
 import traceback
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Union
 
@@ -761,6 +762,14 @@ class SweepService:
                     else:
                         result_dict, error = await loop.run_in_executor(
                             pool, execute_cell_payload, cell)
+                except BrokenProcessPool:
+                    # a worker died mid-cell (OOM kill, signal): this
+                    # cell fails, and the next key builds a fresh pool
+                    # (unless a concurrent failure already replaced it)
+                    if self._pool is pool:
+                        self._pool = None
+                        pool.shutdown(wait=False)
+                    raise
                 finally:
                     self._pool_busy -= 1
                 if error is not None:

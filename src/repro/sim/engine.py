@@ -24,8 +24,7 @@ checks.
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 #: recycled event entries kept per engine; beyond this they are dropped
 #: to the allocator (a bound so a burst can't pin memory forever).
@@ -117,55 +116,6 @@ class Engine:
                 self.schedule(period, tick)
 
         self.schedule(period, tick)
-
-    # ------------------------------------------------------------------
-    # two-tier clock support (repro.sim.window)
-    # ------------------------------------------------------------------
-    def horizon(self) -> float:
-        """Absolute time of the earliest queued event, ``math.inf`` when
-        the queue is empty.
-
-        This is the Tier-1 event horizon the closed-form window
-        evaluator consults: any closed-form advance must stop at (or
-        before) this time, because the queued event may mutate state the
-        analytic timing depends on.  Events scheduled exactly at ``now``
-        (ties) are part of the horizon — ``horizon() == now`` means the
-        current cycle still has undispatched work.
-        """
-        queue = self._queue
-        return queue[0][0] if queue else math.inf
-
-    def checkpoint(self) -> Tuple[float, int, int]:
-        """Snapshot the engine's clock state: ``(now, seq,
-        events_dispatched)``.
-
-        The entry token for a closed-form window: callers record the
-        checkpoint, advance analytically, then commit with
-        :meth:`resume_at` — or compare against a later checkpoint to
-        attribute dispatch counts to a window.  The event queue itself
-        is not copied (windows never unwind dispatched events; they only
-        decide how far the clock may move without dispatching).
-        """
-        return (self.now, self._seq, self.events_dispatched)
-
-    def resume_at(self, when: float) -> None:
-        """Advance the clock to ``when`` without dispatching anything.
-
-        The commit half of the checkpoint/resume protocol: a closed-form
-        evaluator that has accounted for every access in ``[now, when)``
-        analytically moves the clock forward in one step.  Guarded both
-        ways — the clock can never move backwards, and never past the
-        Tier-1 :meth:`horizon` (skipping a queued event would desync the
-        two tiers).
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"cannot resume at {when}, current time is {self.now}")
-        if when > self.horizon():
-            raise SimulationError(
-                f"cannot resume at {when} past the event horizon "
-                f"{self.horizon()} (a queued Tier-1 event would be skipped)")
-        self.now = when
 
     # ------------------------------------------------------------------
     # execution

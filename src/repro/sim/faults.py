@@ -18,27 +18,8 @@ realistic batch-path bugs and assert the harness trips on each:
     advances the bank's busy-until (``ready``) time, so later requests
     see a stale bank state.
 
-Three further faults target the closed-form window evaluator
-(:mod:`repro.sim.window`) specifically — each is a realistic bug in the
-evaluator's *transcription* of a scalar body, the class of defect the
-fused dispatch loop could actually acquire:
-
-``cf-stall-skip``
-    The evaluator's inline dispatch drops the OS-epoch stall check, so
-    demand requests issue straight through an HMA stall window instead
-    of being rescheduled to its end.
-``cf-lost-coalesce``
-    The evaluator's inline MSHR admission skips the in-flight-read
-    lookup, so a read that should have joined an in-flight fill
-    allocates its own entry and consults the scheme again.
-``cf-gap-drift``
-    The evaluator's inline core advance forgets the issue-width
-    division, scheduling the next issue a full ``gap_instr`` cycles out
-    instead of ``gap_instr / issue_width``.
-
 Normal operation: ``ACTIVE`` is ``None`` and every hook site reduces to
-one module-global load plus an ``is None`` check (the window evaluator
-reads it once per entry).  Faults only perturb the *batched* engine —
+one module-global load plus an ``is None`` check.  Faults only perturb the *batched* engine —
 the scalar reference path never consults this module — so an injected
 fault makes the two engines diverge, which is exactly what the harness
 must detect.
@@ -52,8 +33,7 @@ from contextlib import contextmanager
 ACTIVE = None
 
 #: the fault names the batch path knows how to apply.
-KNOWN = ("window-off-by-one", "drop-row-close", "stale-busy",
-         "cf-stall-skip", "cf-lost-coalesce", "cf-gap-drift")
+KNOWN = ("window-off-by-one", "drop-row-close", "stale-busy")
 
 
 @contextmanager

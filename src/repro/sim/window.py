@@ -1,597 +1,22 @@
-"""Tier 2 of the two-tier simulation clock: the closed-form window
-evaluator for the batch engine's steady-state data plane.
+"""The batch engine's drive loop.
 
-The :class:`~repro.sim.engine.Engine` heap stays the global sequencer —
-Tier 1 — for everything *sparse*: scheme decisions that mutate placement
-state on a clock (HMA's OS epoch), periodic observers (telemetry
-sampler, refresh), MSHR structural-stall retries, and warmup/halt
-control flow.  But in the bench regime ~99% of dispatched events are
-one of a handful of *dense* shapes, each with a fixed, fully
-transcribable body:
-
-* a core issue event (``BatchCore._issue_cols``),
-* a fast-path device completion (``Channel._complete_fast``),
-* a queued turbo completion (``Channel._complete_turbo``),
-
-and inside the completion shapes, the per-request callbacks
-``MemoryRequest.fast_done`` (single-op fast path, including MSHR
-release and waiter wake-up) and ``MemoryRequest.op_done`` (declined
-plans: the stage walk, next-stage re-issue and final
-``FlatMemoryController._complete`` accounting) are transcribed too, so
-a declined access stays fused end to end.
-
-:func:`run_closed_form` pops events straight off the engine's real
-heap, recognises those shapes by the identity of the callback's
-underlying function (``fn.__func__``), and executes an exact inline
-transcription — the window's issue order, bank prepare / row-buffer
-hit-miss timing, bus occupancy chain and MSHR occupancy accounting all
-evaluated in one frame per event instead of a ~40-call plumbing chain.
-Everything else falls through to generic ``fn(*args)`` dispatch.
-
-Why this is safe by construction
---------------------------------
-Every event — fused or not — lives on the one real heap, pops in the
-same global order, and advances ``engine.now`` identically.  Routing an
-event to generic dispatch is therefore *always* correct; fusing is pure
-optimisation, and the only obligation is that each inline body be a
-bit-exact transcription of the method it replaces (same float operand
-order, same stat update order, same event pushes).  That contract is
-gated end-to-end by ``tests/integration/test_batch_equivalence.py`` and
-the seeded-fault mutation self-tests (``cf-*`` faults in
-:mod:`repro.sim.faults`), which plant realistic transcription bugs in
-this module and assert the harness trips.
-
-Steady-state certificates
--------------------------
-Before fusing an event the evaluator consults the scheme's
-:meth:`~repro.schemes.base.MemoryScheme.steady_window_certificate`: a
-time before which the scheme guarantees no clock-driven state change.
-Events at or past the certificate re-enter Tier-1 generic dispatch and
-the certificate is re-queried afterwards.  For the five access-driven
-schemes the certificate is ``inf`` (their state only moves inside the
-accesses the evaluator itself executes); for HMA it is the next epoch
-boundary, so the epoch event, its bulk migration and its stall window
-all run generically, with the inline dispatch's own ``_stall_until``
-check staying authoritative regardless.  The certificate may therefore
-under-shoot safely — correctness never depends on it.
-
-Re-entry points back to Tier 1 (generic dispatch), exhaustively:
-
-* an event at/past the scheme certificate (epoch boundaries);
-* a callback whose ``__func__`` is not one of the dense shapes
-  (epoch timers, telemetry ticks, refresh, stall-retry closures,
-  warmup ``checking`` wrappers);
-* ``engine.halt()`` raised by any callback (core completion, warmup
-  crossing) — the evaluator finishes the current event and returns,
-  exactly like ``Engine.run``;
-* the scheme declining the fast shape
-  (``BatchFlatMemoryController._dispatch_declined``) — the access runs
-  the full scalar plan machinery inside the fused frame.
-
-The engine's :meth:`~repro.sim.engine.Engine.checkpoint` /
-:meth:`~repro.sim.engine.Engine.resume_at` /
-:meth:`~repro.sim.engine.Engine.horizon` protocol is the generic form
-of this contract (advance the clock only through territory with no
-queued Tier-1 event); the evaluator specialises it to per-event
-granularity, so ``now`` never moves past ``horizon()`` by
-construction.
+:func:`run_closed_form` is what ``System.run`` calls to dispatch a
+batch-mode run on the engine's ordinary heap.  Its name and signature
+are pinned: the benchmark's outside-in tracer (``perfbench/tracing.py``)
+wraps this module attribute as a ``sim`` span, so ``System.run`` looks
+it up through the module on every call.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, Optional
-
-from repro.cpu.batch import BatchCore
-from repro.cpu.core import DIRTY_FIFO_DEPTH
-from repro.cpu.mshr import (COMPLETE, DISPATCHED, QUEUED, STAGING,
-                            MemoryRequest, PendingMiss)
-from repro.dram.channel import Channel
-from repro.dram.request import Priority
-from repro.schemes.base import Level
-from repro.obs import log as obs_log
-from repro.sim import faults
-from repro.sim.engine import _FREE_LIST_CAP, SimulationError
-
-_log = obs_log.get_logger("repro.sim.window")
-
-#: the dense-shape identities, resolved once at import (class-level
-#: functions; instance rebinding like ``enable_turbo`` never changes
-#: ``bound.__func__`` for methods looked up from these classes).
-_ISSUE = BatchCore._issue_cols
-_MISS_DONE = BatchCore._miss_done
-_COMPLETE_FAST = Channel._complete_fast
-_COMPLETE_TURBO = Channel._complete_turbo
-_FAST_DONE = MemoryRequest.fast_done
-_OP_DONE = MemoryRequest.op_done
-
-_DEMAND = Priority.DEMAND
-
-
-class ClockStats:
-    """Two-tier dispatch attribution for one batch-mode run.
-
-    Pure observation: every counter is an integer incremented outside
-    the simulated timeline, so enabling attribution cannot move a single
-    event time — the byte-identity contract is untouched (and
-    ``RunResult.to_dict`` excludes the derived ``cf.*`` extras from the
-    canonical wire form for the same reason).
-
-    The counters reconcile exactly by construction: each loop iteration
-    of :func:`run_closed_form` lands in exactly one bucket, so
-    ``fused + generic == dispatched`` always holds; the equivalence
-    suite asserts it on every cell of the differential grid.
-    """
-
-    __slots__ = ("dispatched", "fused_issue", "fused_complete_fast",
-                 "fused_complete_turbo", "generic_certificate",
-                 "generic_unrecognized", "fallback")
-
-    def __init__(self) -> None:
-        self.dispatched = 0
-        self.fused_issue = 0
-        self.fused_complete_fast = 0
-        self.fused_complete_turbo = 0
-        #: Tier-1 re-entries because the event sat at/past the scheme's
-        #: steady-window certificate (epoch boundaries and their wake).
-        self.generic_certificate = 0
-        #: Tier-1 re-entries because the callback shape is not one of
-        #: the dense transcriptions (telemetry ticks, refresh, stall
-        #: retries, warmup wrappers).
-        self.generic_unrecognized = 0
-        #: fallback-reason histogram: ``"certificate:<qualname>"`` and
-        #: ``"shape:<qualname>"`` -> count.
-        self.fallback: Dict[str, int] = {}
-
-    @property
-    def fused(self) -> int:
-        return (self.fused_issue + self.fused_complete_fast
-                + self.fused_complete_turbo)
-
-    @property
-    def generic(self) -> int:
-        return self.generic_certificate + self.generic_unrecognized
-
-    def as_extras(self, prefix: str = "cf.") -> Dict[str, float]:
-        """The tier-attribution block for ``RunResult.extras``."""
-        out = {
-            prefix + "dispatches_total": float(self.dispatched),
-            prefix + "dispatches_fused": float(self.fused),
-            prefix + "dispatches_generic": float(self.generic),
-            prefix + "fused_issue": float(self.fused_issue),
-            prefix + "fused_complete_fast": float(self.fused_complete_fast),
-            prefix + "fused_complete_turbo": float(self.fused_complete_turbo),
-            prefix + "generic_certificate": float(self.generic_certificate),
-            prefix + "generic_unrecognized": float(self.generic_unrecognized),
-        }
-        for reason, count in self.fallback.items():
-            out[prefix + "fallback." + reason] = float(count)
-        return out
+from typing import Optional
 
 
 def run_closed_form(system, warmup_threshold: Optional[int] = None) -> None:
-    """Dispatch the system's event queue through the two-tier clock
-    until it drains or a callback halts the engine.
-
-    Drop-in for ``Engine.run()`` on a batch-mode :class:`System` with no
-    oracle, no span tracing and no watchdog (``System.run`` gates on
-    exactly those conditions).  With ``warmup_threshold`` set, the
-    evaluator performs the armed warmup wrapper's miss-count check
-    inline after each fused issue event and halts at the crossing event
-    — ``BatchFlatMemoryController.arm_warmup_halt`` must have been
-    armed first, so the rare generically-dispatched requests (stall
-    retries, MSHR drains) are still checked by the wrapper, and the
-    inline crossing disarms it through ``_disarm_warmup``.
-    """
-    engine = system.engine
-    if engine._running:
-        raise SimulationError("engine is not reentrant")
-    if getattr(system, "spans", None) is not None:
-        # Defense in depth: ``System.run`` never routes a span-tracing
-        # run here (span hooks cannot observe fused event bodies), but
-        # if a future gate change does, the suppression must be loud —
-        # an explicit extras flag plus a one-time structured warning
-        # instead of silently-empty span aggregates.
-        system._spans_suppressed = True
-        _log.warn_once(
-            "spans_suppressed",
-            scheme=system.controller.scheme.name,
-            reason="closed-form evaluator fuses dispatch bodies; "
-                   "span hooks cannot observe fused events",
-        )
-    clock = getattr(system, "clock_stats", None)
-    if clock is None:
-        clock = ClockStats()
-    fallback = clock.fallback
-    controller = system.controller
-    scheme = controller.scheme
-    scheme_stats = scheme.stats
-    ctrl_stats = controller.stats
-    certificate = scheme.steady_window_certificate
-    access_fast = scheme.access_fast
-    nm = controller._nm
-    fm = controller._fm
-    mshr = system.mshr
-    if mshr is not None:
-        shift = mshr._shift
-        m_reads = mshr._reads
-        m_pending_reads = mshr._pending_reads
-        m_stats = mshr.stats
-        m_entries = mshr.entries
-        reads_get = m_reads.get
-        pending_reads_get = m_pending_reads.get
-    queue = engine._queue
-    free = engine._free
-    warming = warmup_threshold is not None
-
-    # seeded transcription faults (tests only; one module read per run)
-    fault = faults.ACTIVE
-    skip_stall = fault == "cf-stall-skip"
-    gap_drift = fault == "cf-gap-drift"
-    if fault == "cf-lost-coalesce" and mshr is not None:
-        reads_get = {}.get  # BUG: in-flight reads are never found
-
-    # ------------------------------------------------------------------
-    # fused helper bodies (closures so the hot loop pays one call where
-    # the method chain paid four to six)
-    # ------------------------------------------------------------------
-    def advance(core) -> None:
-        """``BatchCore._advance``, transcribed: next column of the
-        current batch, or the cold refill/drain path via the method."""
-        i = core._cursor
-        if i == core._n:
-            core._advance()
-            return
-        core._cursor = i + 1
-        gap = core._gap[i]
-        core.stats.instructions += gap
-        delay = gap / core._issue_width
-        if gap_drift:
-            delay = gap  # BUG: issue width forgotten
-        when = engine.now + delay
-        args = (core._pc[i], core._vaddr[i], core._write[i])
-        if free:
-            entry = free.pop()
-            entry[0] = when
-            entry[1] = engine._seq
-            entry[2] = core._issue_bound
-            entry[3] = args
-        else:
-            entry = [when, engine._seq, core._issue_bound, args]
-        heappush(queue, entry)
-        engine._seq += 1
-
-    def wake(waiter, when: float) -> None:
-        """One completion waiter: the dominant shape is the issuing
-        core's retire callback (``BatchCore._miss_done``)."""
-        if getattr(waiter, "__func__", None) is _MISS_DONE:
-            core = waiter.__self__
-            core._outstanding -= 1
-            core.stats.misses_retired += 1
-            if core._blocked:
-                core._blocked = False
-                advance(core)
-            if core._draining:
-                core._maybe_finish()
-        else:
-            waiter(when)
-
-    def fire(cb, when: float) -> None:
-        """One device completion callback: the dominant shapes are the
-        transaction fast path (``MemoryRequest.fast_done`` → MSHR
-        release → core wakeups) and the declined-plan stage walk
-        (``MemoryRequest.op_done`` → next stage or ``_complete``),
-        both fused end to end."""
-        f = getattr(cb, "__func__", None)
-        if f is _FAST_DONE:
-            txn = cb.__self__
-            ctl = txn.controller
-            ctl.inflight -= 1
-            cstats = ctl.stats
-            cstats.misses_completed += 1
-            cstats.total_miss_latency += when - txn.dispatch_time
-            txn.state = COMPLETE
-            txn.finish_time = when
-            m = txn.mshr
-            if m is not None:
-                # MSHRFile.release, transcribed
-                m._occupied -= 1
-                if not txn.is_write and m._reads.get(txn.line) is txn:
-                    del m._reads[txn.line]
-                for waiter in txn.waiters:
-                    wake(waiter, when)
-                if m._pending and not m._draining:
-                    m._drain_pending()
-                pool = m._pool
-                if pool is not None and len(pool) < m._pool_cap:
-                    txn.waiters.clear()
-                    txn.span = None
-                    pool.append(txn)
-            else:
-                for waiter in txn.waiters:
-                    wake(waiter, when)
-                ctl._recycle(txn)
-        elif f is _OP_DONE:
-            # ``MemoryRequest.op_done`` + the batch controller's stage
-            # walk (``BatchFlatMemoryController._advance``), transcribed
-            # — the declined-plan completion chain (spans are gated off
-            # whenever the evaluator runs, and a declined transaction's
-            # remaining stages re-issue through the same fused devices).
-            txn = cb.__self__
-            r = txn.remaining_ops - 1
-            txn.remaining_ops = r
-            if r == 0:
-                stages = txn.stages
-                n = len(stages)
-                i = txn.stage_index + 1
-                while i < n and not stages[i]:
-                    i += 1
-                if i < n:
-                    ops = stages[i]
-                    txn.stage_index = i
-                    txn.remaining_ops = len(ops)
-                    for op in ops:
-                        (nm if op.level is Level.NM else fm).access_turbo(
-                            op.addr, op.size, op.is_write, True, cb)
-                    return
-                # ``FlatMemoryController._complete``, transcribed
-                ctl = txn.controller
-                ctl.inflight -= 1
-                cstats = ctl.stats
-                cstats.misses_completed += 1
-                cstats.total_miss_latency += when - txn.dispatch_time
-                txn.state = COMPLETE
-                txn.finish_time = when
-                m = txn.mshr
-                if m is not None:
-                    # MSHRFile.release, transcribed
-                    m._occupied -= 1
-                    if not txn.is_write and m._reads.get(txn.line) is txn:
-                        del m._reads[txn.line]
-                    for waiter in txn.waiters:
-                        wake(waiter, when)
-                    if m._pending and not m._draining:
-                        m._drain_pending()
-                    pool = m._pool
-                    if pool is not None and len(pool) < m._pool_cap:
-                        txn.waiters.clear()
-                        txn.span = None
-                        pool.append(txn)
-                else:
-                    # the scalar ``_complete`` never recycles — compat
-                    # declined transactions stay pool-invisible here too
-                    for waiter in txn.waiters:
-                        wake(waiter, when)
-        elif cb is not None:
-            cb(when)
-
-    def dispatch(txn, now: float) -> None:
-        """``BatchFlatMemoryController.handle_request``, transcribed:
-        the scheme consult and the accepted single-op fast shape; the
-        declined path re-enters the controller's plan machinery."""
-        if now < controller._stall_until and not skip_stall:
-            # OS epoch in progress (``checking`` wrapper semantics are
-            # preserved: the instance attribute is captured, so a retry
-            # armed during warmup still performs the warmup check)
-            engine.schedule_at(controller._stall_until,
-                               controller.handle_request, txn)
-            return
-        txn.state = DISPATCHED
-        txn.dispatch_time = now
-        txn.controller = controller
-        fast = access_fast(txn.paddr, txn.is_write, txn.pc)
-        if fast is not None:
-            is_nm, addr, size, op_write = fast
-            if is_nm:
-                ctrl_stats.demand_nm_bytes += size
-                device = nm
-            else:
-                ctrl_stats.demand_fm_bytes += size
-                device = fm
-            controller.fast_accepted += 1
-            controller.inflight += 1
-            txn.state = STAGING
-            device.access_turbo(addr, size, op_write, True, txn.fast_done)
-            return
-        controller._dispatch_declined(txn, now)
-
-    # ------------------------------------------------------------------
-    # the two-tier dispatch loop
-    # ------------------------------------------------------------------
-    engine._running = True
-    engine._halt = False
-    dispatched = 0
-    # per-tier attribution accumulators (locals in the hot loop, folded
-    # into ``clock`` once in the finally clause)
-    n_issue = n_fast = n_turbo = n_cert = n_other = 0
-    cert = certificate(engine.now)
-    try:
-        while queue:
-            entry = heappop(queue)
-            when = entry[0]
-            engine.now = when
-            fn = entry[2]
-            args = entry[3]
-            entry[2] = entry[3] = None
-            if len(free) < _FREE_LIST_CAP:
-                free.append(entry)
-            dispatched += 1
-            if when >= cert:
-                # Tier-1 territory: a clock-driven scheme event is due
-                # at (or accumulated-float-near) this time — dispatch
-                # generically and re-certify from the new now.
-                n_cert += 1
-                key = "certificate:" + getattr(
-                    fn, "__qualname__", type(fn).__name__)
-                fallback[key] = fallback.get(key, 0) + 1
-                fn(*args)
-                cert = certificate(engine.now)
-                if engine._halt:
-                    engine._halt = False
-                    return
-                continue
-            f = getattr(fn, "__func__", None)
-            if f is _ISSUE:
-                # ``BatchCore._issue_cols``, transcribed
-                n_issue += 1
-                core = fn.__self__
-                pc, vaddr, is_write = args
-                cstats = core.stats
-                cstats.accesses += 1
-                paddr = core._translate(vaddr)
-                core._outstanding += 1
-                cstats.misses_issued += 1
-                if is_write:
-                    fifo = core._dirty_fifo
-                    fifo.append(paddr)
-                    if len(fifo) > DIRTY_FIFO_DEPTH:
-                        core._send_writeback(fifo.popleft())
-                retire = core._retire
-                if mshr is None:
-                    # compatibility front door
-                    # (``BatchFlatMemoryController.handle_miss``)
-                    cpool = controller._pool
-                    if cpool:
-                        txn = cpool.pop()
-                        txn.paddr = paddr
-                        txn.is_write = is_write
-                        txn.pc = pc
-                        txn.issue_time = when
-                        txn.state = QUEUED
-                    else:
-                        txn = MemoryRequest(paddr, is_write, pc, when)
-                    txn.waiters.append(retire)
-                    dispatch(txn, when)
-                else:
-                    # ``MSHRFile.issue``, transcribed (spans are gated
-                    # off whenever the evaluator runs)
-                    line = paddr >> shift
-                    joined = False
-                    if not is_write:
-                        txn = reads_get(line)
-                        if txn is not None:
-                            txn.waiters.append(retire)
-                            txn.coalesced += 1
-                            m_stats.coalesced += 1
-                            joined = True
-                        else:
-                            pend = pending_reads_get(line)
-                            if pend is not None:
-                                pend.waiters.append(retire)
-                                m_stats.coalesced += 1
-                                joined = True
-                    if not joined:
-                        if mshr._occupied >= m_entries:
-                            m_stats.structural_stalls += 1
-                            pend = PendingMiss(paddr, is_write, pc,
-                                               retire, when, None)
-                            mshr._pending.append(pend)
-                            if not is_write:
-                                m_pending_reads[line] = pend
-                            if len(mshr._pending) > m_stats.peak_pending:
-                                m_stats.peak_pending = len(mshr._pending)
-                        else:
-                            # ``MSHRFile._allocate``, transcribed
-                            mpool = mshr._pool
-                            if mpool:
-                                txn = mpool.pop()
-                                txn.paddr = paddr
-                                txn.is_write = is_write
-                                txn.pc = pc
-                                txn.state = QUEUED
-                                txn.issue_time = when
-                            else:
-                                txn = MemoryRequest(paddr, is_write, pc,
-                                                    when)
-                            txn.line = line
-                            txn.mshr = mshr
-                            txn.waiters = [retire]
-                            txn.coalesced = 0
-                            mshr._occupied += 1
-                            if not is_write:
-                                m_reads[line] = txn
-                            m_stats.allocations += 1
-                            if mshr._occupied > m_stats.peak_occupancy:
-                                m_stats.peak_occupancy = mshr._occupied
-                            dispatch(txn, when)
-                if core._outstanding < core._max_outstanding:
-                    advance(core)
-                else:
-                    core._blocked = True
-                    cstats.stall_events += 1
-                if warming and scheme_stats.misses >= warmup_threshold:
-                    # the armed wrapper's check, performed inline (the
-                    # scheme miss count only moves inside dispatch);
-                    # disarm it so post-warmup retries don't re-halt.
-                    controller._disarm_warmup()
-                    engine._halt = True
-            elif f is _COMPLETE_FAST:
-                # ``Channel._complete_fast``, transcribed
-                n_fast += 1
-                channel = fn.__self__
-                size, c_write, c_demand, cb = args
-                channel._inflight -= 1
-                cstats = channel.stats
-                if c_write:
-                    cstats.writes += 1
-                    cstats.bytes_written += size
-                else:
-                    cstats.reads += 1
-                    cstats.bytes_read += size
-                if c_demand:
-                    cstats.demand_bytes += size
-                else:
-                    cstats.background_bytes += size
-                fire(cb, when)
-                if channel._demand_queue or channel._background_queue:
-                    channel._try_issue_turbo()
-            elif f is _COMPLETE_TURBO:
-                # ``Channel._complete_turbo``, transcribed
-                n_turbo += 1
-                channel = fn.__self__
-                request = args[0]
-                request.completed_at = when
-                channel._inflight -= 1
-                cstats = channel.stats
-                size = request.size
-                if request.is_write:
-                    cstats.writes += 1
-                    cstats.bytes_written += size
-                else:
-                    cstats.reads += 1
-                    cstats.bytes_read += size
-                if request.priority is _DEMAND:
-                    cstats.demand_bytes += size
-                else:
-                    cstats.background_bytes += size
-                cb = request.on_complete
-                pool = channel._req_pool
-                if pool is not None and len(pool) < channel._REQ_POOL_CAP:
-                    request.on_complete = None
-                    request.span = None
-                    pool.append(request)
-                fire(cb, when)
-                if ((channel._demand_queue or channel._background_queue)
-                        and channel._inflight < channel.pipeline_depth):
-                    channel._try_issue_turbo()
-            else:
-                # sparse Tier-1 event (epoch timer, telemetry tick,
-                # refresh, stall retry, warmup wrapper, op_done stage)
-                n_other += 1
-                key = "shape:" + getattr(
-                    fn, "__qualname__", type(fn).__name__)
-                fallback[key] = fallback.get(key, 0) + 1
-                fn(*args)
-                cert = certificate(engine.now)
-            if engine._halt:
-                engine._halt = False
-                return
-    finally:
-        engine.events_dispatched += dispatched
-        engine._running = False
-        clock.dispatched += dispatched
-        clock.fused_issue += n_issue
-        clock.fused_complete_fast += n_fast
-        clock.fused_complete_turbo += n_turbo
-        clock.generic_certificate += n_cert
-        clock.generic_unrecognized += n_other
+    """Run the system's engine until its queue drains or a callback
+    halts it.  With ``warmup_threshold`` set, the batch controller's
+    warmup halt is armed first, so the run stops right after the event
+    during which the scheme's miss count crosses the threshold."""
+    if warmup_threshold is not None:
+        system.controller.arm_warmup_halt(warmup_threshold)
+    system.engine.run()

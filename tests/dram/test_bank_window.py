@@ -1,10 +1,8 @@
-"""Bank advance-by-window protocol (two-tier clock support).
-
-The closed-form window evaluator advances bank timing state in
-window-sized steps; :meth:`Bank.snapshot`/:meth:`Bank.restore` and
-:meth:`Bank.prepare_window` are the tested protocol for that.  The
-contract everywhere is *bit-identity* with the per-access ``prepare``
-path — equality assertions here are exact (``==``), never approx.
+"""Bank advance-by-window: :meth:`Bank.prepare_window` folds a run of
+same-row accesses (the batch engine's ``Channel.issue_window`` path).
+The contract everywhere is *bit-identity* with the per-access
+``prepare`` path — equality assertions here are exact (``==``), never
+approx.
 """
 
 import math
@@ -25,48 +23,9 @@ def _twin_banks(timings):
     return Bank(timings), Bank(timings)
 
 
-# ---------------------------------------------------------------------------
-# snapshot / restore
-# ---------------------------------------------------------------------------
-def test_snapshot_restore_roundtrip_is_exact(timings):
-    bank = Bank(timings)
-    bank.prepare(3, 10.0)
-    bank.prepare(7, 20.0)  # conflict: populates _activated_at
-    state = bank.snapshot()
-    ref = (bank.open_row, bank.ready, bank._activated_at)
-
-    bank.prepare(11, 30.0)
-    bank.prepare(11, 40.0)
-    assert (bank.open_row, bank.ready, bank._activated_at) != ref
-
-    bank.restore(state)
-    assert (bank.open_row, bank.ready, bank._activated_at) == ref
-
-
-def test_restored_bank_times_identically(timings):
-    """After restore, the next prepare returns the same float the
-    original trajectory would have — state capture is complete."""
-    bank, twin = _twin_banks(timings)
-    for row, now in [(1, 0.0), (2, 50.0), (2, 60.0)]:
-        bank.prepare(row, now)
-        twin.prepare(row, now)
-    state = bank.snapshot()
-    expected = twin.prepare(9, 75.0)
-
-    bank.prepare(5, 70.0)  # diverge
-    bank.restore(state)
-    assert bank.prepare(9, 75.0) == expected
-
-
-def test_snapshot_excludes_counters(timings):
-    bank = Bank(timings)
-    bank.prepare(1, 0.0)
-    state = bank.snapshot()
-    hits_before = bank.stats.row_hits
-    bank.prepare(1, 1.0)
-    bank.restore(state)
-    # restore rolls back timing state only; counters accumulate
-    assert bank.stats.row_hits == hits_before + 1
+def _timing_state(bank):
+    """Everything ``prepare`` reads or writes, counters excluded."""
+    return (bank.open_row, bank.ready, bank._activated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +37,7 @@ def test_window_matches_sequential_from_closed_bank(timings, count):
     window = bank.prepare_window(4, count, 100.0)
     sequential = [twin.prepare(4, 100.0) for _ in range(count)]
     assert window == sequential  # exact, including float bit patterns
-    assert bank.snapshot() == twin.snapshot()
+    assert _timing_state(bank) == _timing_state(twin)
     assert bank.stats.__dict__ == twin.stats.__dict__
 
 
@@ -89,7 +48,7 @@ def test_window_matches_sequential_on_row_hit(timings, count):
     twin.prepare(4, 0.0)
     assert (bank.prepare_window(4, count, 200.0)
             == [twin.prepare(4, 200.0) for _ in range(count)])
-    assert bank.snapshot() == twin.snapshot()
+    assert _timing_state(bank) == _timing_state(twin)
     assert bank.stats.__dict__ == twin.stats.__dict__
 
 
@@ -100,7 +59,7 @@ def test_window_matches_sequential_on_row_conflict(timings, count):
     twin.prepare(9, 0.0)
     assert (bank.prepare_window(4, count, 5.0)
             == [twin.prepare(4, 5.0) for _ in range(count)])
-    assert bank.snapshot() == twin.snapshot()
+    assert _timing_state(bank) == _timing_state(twin)
     assert bank.stats.__dict__ == twin.stats.__dict__
 
 

@@ -85,7 +85,7 @@ def test_quick_run_makes_no_tail_pass(monkeypatch):
     """The fixed bug: --quick used to re-run every cell span-sampled
     even with span_sample_rate=0 inherited from the config.  A quick
     cell must now run exactly twice (scalar + batched twin) plus one
-    run per closed-form curve window — never a span-sampled pass."""
+    run per batch_window curve window — never a span-sampled pass."""
     import repro.experiments.bench as bench
     import repro.experiments.runner as runner
 
@@ -171,7 +171,7 @@ def test_bench_refuses_diverged_batch_engine(monkeypatch):
 
 
 def test_payload_batch_curve(quick_payload):
-    """Schema v7: the closed-form speedup curve is swept over the
+    """Schema v7: the batch_window speedup curve is swept over the
     pinned windows, anchored at the scalar point (w=0, speedup 1.0),
     with every point carrying a positive wall time."""
     from repro.experiments.bench import BENCH_CURVE_WINDOWS

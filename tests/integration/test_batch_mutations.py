@@ -1,21 +1,14 @@
 """Mutation self-tests: prove the differential harness has teeth.
 
 A harness asserting scalar == batched proves nothing if it would also
-pass with a broken batch engine.  Here six deliberate, realistic
+pass with a broken batch engine.  Here three deliberate, realistic
 batch-path bugs are planted behind the test-only hook in
-:mod:`repro.sim.faults` — three in the original batch data plane (a
-window-boundary off-by-one in the trace generator, a dropped row-buffer
-close, and a stale bank busy-until time in the channel fast path) and
-three in the closed-form window evaluator's transcriptions (a dropped
-epoch-stall check, a lost MSHR read-coalesce lookup, and a forgotten
-issue-width division) — and each must make the equivalence check FAIL.
-The scalar reference never consults the fault hook, so any surviving
-mutant means the harness lost its sensitivity to that class of bug.
-
-Each fault runs against a configuration that actually exercises its
-hook site: ``cf-stall-skip`` lives inside an HMA epoch-stall window, so
-it gets the one scheme with epochs and a run long enough to cross
-several boundaries; the rest fire on every SILC-FM miss stream.
+:mod:`repro.sim.faults` — a window-boundary off-by-one in the trace
+generator, a dropped row-buffer close, and a stale bank busy-until time
+in the channel fast path — and each must make the equivalence check
+FAIL.  The scalar reference never consults the fault hook, so any
+surviving mutant means the harness lost its sensitivity to that class
+of bug.  Each fault fires on every SILC-FM miss stream.
 """
 
 import dataclasses
@@ -33,13 +26,8 @@ MISSES = 300
 BATCH_WINDOW = 64
 
 #: fault -> (scheme, misses_per_core, mshr_entries) whose run exercises
-#: the hook site.  ``cf-stall-skip`` needs compat mode (``mshr 0``): at
-#: the MLP-default file a full MSHR routes every dispatch through the
-#: pending-queue drain — the *un*-transcribed ``handle_request`` — so
-#: the evaluator's inline stall check (where the bug is planted) would
-#: never run.
+#: the hook site.
 CASES = {fault: ("silc", MISSES, 8) for fault in faults.KNOWN}
-CASES["cf-stall-skip"] = ("hma", 4000, 0)
 
 
 def _run_json(scheme: str, batch_window: int, misses: int,

@@ -254,8 +254,8 @@ def test_step_interleaves_with_run():
 
 
 # ---------------------------------------------------------------------------
-# edge semantics the two-tier clock leans on: free-list recycling bound,
-# integer-timestamp preservation, and the horizon/checkpoint/resume API
+# edge semantics: free-list recycling bound and integer-timestamp
+# preservation
 # ---------------------------------------------------------------------------
 def test_free_list_recycling_is_bounded():
     """A burst of queued events beyond _FREE_LIST_CAP must not pin
@@ -313,60 +313,3 @@ def test_integer_timestamps_survive_int_only_chains():
     assert all(isinstance(t, int) for t in times)
     # the float chain would have collapsed: big+1.0 rounds back to big
     assert float(big) + 1.0 == float(big)
-
-
-def test_horizon_empty_queue_is_infinite():
-    import math
-
-    engine = Engine()
-    assert engine.horizon() == math.inf
-    engine.schedule(5, lambda: None)
-    engine.run()
-    assert engine.horizon() == math.inf
-
-
-def test_horizon_reports_earliest_event_and_ties_at_now():
-    engine = Engine()
-    engine.schedule(10, lambda: None)
-    engine.schedule(3, lambda: None)
-    assert engine.horizon() == 3
-
-    # an event scheduled exactly at now is part of the horizon:
-    # horizon() == now means this cycle still has undispatched work
-    engine2 = Engine()
-    probe = []
-
-    def at_now():
-        engine2.schedule(0, lambda: None)
-        probe.append(engine2.horizon())
-
-    engine2.schedule(7, at_now)
-    engine2.run()
-    assert probe == [7.0]
-
-
-def test_checkpoint_resume_protocol():
-    engine = Engine()
-    engine.schedule(100, lambda: None)
-    now, seq, dispatched = engine.checkpoint()
-    assert (now, dispatched) == (0.0, 0)
-
-    engine.resume_at(40.0)  # within the horizon: clock moves, no dispatch
-    assert engine.now == 40.0
-    assert engine.events_dispatched == 0
-    # dispatch counts attribute to the window via checkpoint deltas
-    engine.run()
-    assert engine.events_dispatched - dispatched == 1
-
-
-def test_resume_at_rejects_backwards_and_past_horizon():
-    engine = Engine()
-    engine.schedule(10, lambda: None)
-    engine.resume_at(5.0)
-    with pytest.raises(SimulationError):
-        engine.resume_at(4.0)  # backwards
-    with pytest.raises(SimulationError):
-        engine.resume_at(10.5)  # past the queued Tier-1 event
-    # exactly at the horizon is legal (the event has not been skipped)
-    engine.resume_at(10.0)
-    assert engine.now == 10.0

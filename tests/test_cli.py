@@ -159,7 +159,7 @@ def test_bench_quick_command(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "bench (quick)" in out
     assert "batch speedup 1.62x" in out
-    assert "closed-form speedup curve" in out
+    assert "batch_window speedup curve" in out
     assert "w=256: 1.62x" in out
     assert "wrote" in out
 
