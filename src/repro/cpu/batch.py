@@ -11,9 +11,10 @@ exactly the scalar path's event times — but the *work per event* drops:
   pulling ``MemoryAccess`` objects from a generator;
 * :class:`BatchFlatMemoryController` asks the scheme for its
   single-op fast shape (:meth:`repro.schemes.base.MemoryScheme
-  .access_fast`), pools transaction objects, and issues device accesses
-  through the channels' fast paths — no ``AccessPlan``/``Op``/
-  ``DRAMRequest`` allocation and no scheduler pick on the hot path.
+  .access_fast`) and pools transaction objects — no ``AccessPlan``/
+  ``Op`` allocation on the hot path.  Device accesses take the one DRAM
+  data plane both engines share (:meth:`repro.dram.device.MemoryDevice
+  .access`).
 
 Bit-identical equivalence with the scalar engine is the contract, gated
 by ``tests/integration/test_batch_equivalence.py``.  The oracle and span
@@ -29,6 +30,7 @@ from typing import Callable, Iterator, List
 from repro.cpu.controller import FlatMemoryController
 from repro.cpu.core import DIRTY_FIFO_DEPTH, Core
 from repro.cpu.mshr import DISPATCHED, QUEUED, STAGING, MemoryRequest
+from repro.dram.request import Priority
 from repro.schemes.base import Level
 from repro.sim.engine import Engine
 
@@ -220,7 +222,8 @@ class BatchFlatMemoryController(FlatMemoryController):
                 device = self._fm
             self.inflight += 1
             txn.state = STAGING
-            device.access_turbo(addr, size, op_write, True, txn.fast_done)
+            device.access(addr, size, op_write, Priority.DEMAND,
+                          txn.fast_done)
             return
         # declined: build the full plan, mirroring the scalar
         # ``handle_request`` step for step
@@ -231,44 +234,20 @@ class BatchFlatMemoryController(FlatMemoryController):
         nm = self._nm
         fm = self._fm
         for op in plan.background:
-            (nm if op.level is Level.NM else fm).access_turbo(
-                op.addr, op.size, op.is_write, False, None)
+            (nm if op.level is Level.NM else fm).access(
+                op.addr, op.size, op.is_write, Priority.BACKGROUND)
         self.inflight += 1
         txn.state = STAGING
         stages = plan.stages
         if len(stages) == 1 and len(stages[0]) == 1:
             # single critical-path op: fuse the stage walk + completion.
             op = stages[0][0]
-            (nm if op.level is Level.NM else fm).access_turbo(
-                op.addr, op.size, op.is_write, True, txn.fast_done)
+            (nm if op.level is Level.NM else fm).access(
+                op.addr, op.size, op.is_write, Priority.DEMAND,
+                txn.fast_done)
             return
         txn.stage_index = -1
         self._advance(txn, now)
-
-    def _advance(self, txn: MemoryRequest, when: float) -> None:
-        """Stage walk twin: each demand op goes through the devices'
-        fused dispatcher.  Span-tracked transactions keep the scalar
-        walk (the span rides every chunk there)."""
-        if txn.span is not None:
-            super()._advance(txn, when)
-            return
-        stages = txn.stages
-        n = len(stages)
-        i = txn.stage_index + 1
-        nm = self._nm
-        fm = self._fm
-        while i < n:
-            ops = stages[i]
-            if ops:
-                txn.stage_index = i
-                txn.remaining_ops = len(ops)
-                op_done = txn.op_done
-                for op in ops:
-                    (nm if op.level is Level.NM else fm).access_turbo(
-                        op.addr, op.size, op.is_write, True, op_done)
-                return
-            i += 1
-        self._complete(txn, self._engine.now)
 
     # ------------------------------------------------------------------
     def handle_writeback(self, paddr: int) -> None:
@@ -288,4 +267,4 @@ class BatchFlatMemoryController(FlatMemoryController):
         else:
             stats.background_fm_bytes += 64
             device = self._fm
-        device.access_turbo(aligned, 64, True, False, None)
+        device.access(aligned, 64, True, Priority.BACKGROUND)

@@ -180,14 +180,6 @@ class System:
             from repro.cpu.batch import BatchCore, BatchFlatMemoryController
 
             controller_cls = BatchFlatMemoryController
-            # fuse each channel's queued data plane (instance-level
-            # rebinding; the class-level scalar methods stay untouched,
-            # so scalar runs are unaffected)
-            for device in (self.nm_device, self.fm_device):
-                for channel in device.channels:
-                    channel.enable_turbo()
-                if device.meta_channel is not None:
-                    device.meta_channel.enable_turbo()
         else:
             controller_cls = FlatMemoryController
         self.controller = controller_cls(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.dram.bank import Bank
 from repro.dram.request import DRAMRequest, Priority
@@ -77,9 +77,6 @@ class Channel:
     #: scheduler's window is similarly bounded; this also keeps the pick
     #: cost O(window) under deep backlogs).
     scheduler_window = 32
-    #: DRAMRequest free pool — a list on turbo channels (see
-    #: ``enable_turbo``), None on scalar channels.
-    _req_pool = None
 
     def __init__(self, engine: Engine, timings: DRAMTimings) -> None:
         self._engine = engine
@@ -97,6 +94,9 @@ class Channel:
         #: the formulas are pure in ``size``.
         self._cpm = timings.cpu_cycles_per_mem
         self._burst_cpu_cycles: dict = {}
+        #: completion callback bound once — a ``schedule_at`` call site
+        #: builds a fresh bound method per event otherwise.
+        self._complete_bound = self._complete
         if timings.t_refi > 0:
             engine.schedule(timings.t_refi * self._cpm, self._refresh)
 
@@ -125,13 +125,24 @@ class Channel:
 
     def submit(self, request: DRAMRequest) -> None:
         """Enqueue a request; it completes via ``request.on_complete``."""
-        queue = (self._demand_queue if request.priority == Priority.DEMAND
-                 else self._background_queue)
-        queue.append(request)
-        depth = len(self._demand_queue) + len(self._background_queue)
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
-        self._try_issue()
+        dq = self._demand_queue
+        bq = self._background_queue
+        if not dq and not bq and self._inflight < self.pipeline_depth:
+            # nothing to reorder and a free slot: FR-FCFS would pick
+            # this request at once, so it issues without queueing (the
+            # queue-depth watermark still counts it, as a depth of 1)
+            stats = self.stats
+            if stats.max_queue_depth < 1:
+                stats.max_queue_depth = 1
+            self._issue(request)
+            return
+        (dq if request.priority == Priority.DEMAND else bq).append(request)
+        depth = len(dq) + len(bq)
+        stats = self.stats
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
+        if self._inflight < self.pipeline_depth:
+            self._try_issue()
 
     @property
     def queue_depth(self) -> int:
@@ -139,13 +150,6 @@ class Channel:
 
     def bank(self, index: int) -> Bank:
         return self._banks[index]
-
-    # ------------------------------------------------------------------
-    def _try_issue(self) -> None:
-        while ((self._demand_queue or self._background_queue)
-               and self._inflight < self.pipeline_depth):
-            request = self._pick()
-            self._issue(request)
 
     #: oldest-request age (CPU cycles) beyond which FR-FCFS stops
     #: reordering past it — the standard starvation cap that keeps an
@@ -155,226 +159,34 @@ class Channel:
     #: streams from spiralling).
     starvation_cap = 2500.0
 
-    def _pick(self) -> DRAMRequest:
-        """FR-FCFS within the scheduler window.  Demand is preferred over
-        background traffic at a ``background_share`` ratio, so migrations
-        are delayed under load but still consume real bandwidth."""
-        if not self._demand_queue:
-            queue = self._background_queue
-        elif not self._background_queue:
-            queue = self._demand_queue
-        else:
-            self._picks += 1
-            if self._picks % (self.background_share + 1) == 0:
-                queue = self._background_queue
-            else:
-                queue = self._demand_queue
-        best_index = 0
-        if self._engine.now - queue[0].arrival < self.starvation_cap:
-            limit = min(len(queue), self.scheduler_window)
-            for i in range(limit):
-                req = queue[i]
-                if self._banks[req.coords.bank].open_row == req.coords.row:
-                    best_index = i
-                    break
-        best = queue[best_index]
-        del queue[best_index]
-        return best
-
-    def _issue(self, request: DRAMRequest) -> None:
-        now = self._engine.now
-        bank = self._banks[request.coords.bank]
-        data_ready = bank.prepare(request.coords.row, now)
-        data_start = max(data_ready, self._bus_free)
-        burst = self._burst_cpu_cycles.get(request.size)
-        if burst is None:
-            burst = self._t.burst_mem_cycles(request.size) * self._cpm
-            self._burst_cpu_cycles[request.size] = burst
-        completion = data_start + burst
-        self._bus_free = completion
-        self._inflight += 1
-        self.stats.bus_busy_cycles += burst
-        self.stats.total_queue_wait += data_start - request.arrival
-        if request.span is not None:
-            # attribute the queue/service split to the sampled request:
-            # everything before the data starts moving (bank preparation,
-            # bus contention, scheduler backlog) is queueing, the burst
-            # itself is service
-            request.span.add_dram(data_start - request.arrival, burst)
-        self._engine.schedule_at(completion, self._complete, request)
-
     # ------------------------------------------------------------------
-    # batch-engine fast paths (repro.cpu.batch).  The scalar path above
-    # never calls these; equivalence of the two is gated by
-    # tests/integration/test_batch_equivalence.py.
-    # ------------------------------------------------------------------
-    def can_accept_fast(self, count: int) -> bool:
-        """True when ``count`` chunks could issue immediately: nothing
-        queued (so FR-FCFS has no reordering decision to make) and the
-        in-flight window has room for all of them."""
-        return (not self._demand_queue and not self._background_queue
-                and self._inflight + count <= self.pipeline_depth)
+    def _try_issue(self) -> None:
+        """Issue queued requests while the pipeline has room.
 
-    def submit_fast(self, bank_index: int, row: int, size: int,
-                    is_write: bool, is_demand: bool, on_complete) -> bool:
-        """Single-chunk fast path: issue immediately, skipping request
-        construction and the scheduler pick.
-
-        Only legal when the queues are empty and the pipeline has room —
-        then ``submit`` would enqueue, ``_pick`` would trivially select
-        this request, and ``_issue`` would compute exactly the timing
-        below.  Returns False (touching nothing) when ineligible; the
-        caller falls back to the queued ``submit`` path.
-        """
-        if (self._demand_queue or self._background_queue
-                or self._inflight >= self.pipeline_depth):
-            return False
-        stats = self.stats
-        if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1  # submit would have seen depth 1
-        now = self._engine.now
-        if faults.ACTIVE is not None:
-            data_ready = faults.bank_prepare(self._banks[bank_index], row, now)
-        else:
-            data_ready = self._banks[bank_index].prepare(row, now)
-        data_start = data_ready if data_ready > self._bus_free else self._bus_free
-        burst = self._burst_cpu_cycles.get(size)
-        if burst is None:
-            burst = self._t.burst_mem_cycles(size) * self._cpm
-            self._burst_cpu_cycles[size] = burst
-        completion = data_start + burst
-        self._bus_free = completion
-        self._inflight += 1
-        stats.bus_busy_cycles += burst
-        stats.total_queue_wait += data_start - now
-        self._engine.schedule_at(completion, self._complete_fast, size,
-                                 is_write, is_demand, on_complete)
-        return True
-
-    def issue_window(self, chunks):
-        """Claim bank/bus/pipeline state for an ordered window of
-        ``(bank, row, size)`` chunks and return the completion time of
-        each.
-
-        The caller must have checked ``can_accept_fast(len(chunks))``
-        (all-or-nothing: a partially issued window could not fall back)
-        and schedules the ``_complete_fast`` events itself — in the
-        *global* chunk order of the whole access, not per channel, so
-        equal-time completion events fire in the same order the scalar
-        submit loop would have scheduled them.  Timing is computed by
-        the vectorized kernel (:func:`repro.dram.batch.window_timing`).
-        """
-        from repro.dram.batch import window_timing
-
-        stats = self.stats
-        if stats.max_queue_depth < 1:
-            stats.max_queue_depth = 1
-        completions = window_timing(self, chunks, self._engine.now)
-        self._inflight += len(chunks)
-        return completions
-
-    # ------------------------------------------------------------------
-    # batch-engine fused queued path ("turbo").  Same machinery as
-    # submit/_try_issue/_pick/_issue/_complete above with the method
-    # boundaries removed and hot state in locals: one LLC miss through a
-    # backlogged channel costs ~100 Python calls on the scalar path and
-    # the bench regime is queue-bound, so the batch engine's speedup
-    # lives or dies on this loop.  Enabled per *instance* by
-    # ``enable_turbo`` (scalar runs never see it); behaviour is
-    # bit-identical and gated by tests/integration/test_batch_equivalence.
-    # ------------------------------------------------------------------
-    #: recycled DRAMRequest objects kept per turbo channel.
-    _REQ_POOL_CAP = 64
-
-    def enable_turbo(self) -> None:
-        """Rebind this channel's queued path to the fused twins (batch
-        runs only; the class-level scalar methods stay untouched)."""
-        t = self._banks[0]._t
-        cpm = t.cpu_cycles_per_mem
-        # Bank.prepare's cpm-scaled latencies, precomputed from the same
-        # operands so every float in the inlined twin is bit-identical.
-        self._turbo_rcd = t.t_rcd * cpm
-        self._turbo_ras = t.t_ras * cpm
-        self._turbo_rp = t.t_rp * cpm
-        self._turbo_ccd = t.t_ccd * cpm
-        self._turbo_cas = t.t_cas * cpm
-        #: request free pool: ``_complete_turbo`` recycles, the batch
-        #: dispatcher (``MemoryDevice.access_turbo``) re-acquires.  A
-        #: request is dead once its completion callback has run —
-        #: nothing reads it afterwards — so recycling at completion is
-        #: safe.  None on scalar channels (never enabled).
-        self._req_pool = []
-        #: completion callbacks bound once — a ``schedule_at`` call site
-        #: builds a fresh bound method per event otherwise.
-        self._complete_turbo_bound = self._complete_turbo
-        self._complete_fast_bound = self._complete_fast
-        self.submit = self._submit_turbo
-        self._try_issue = self._try_issue_turbo
-
-    def _submit_turbo(self, request: DRAMRequest) -> None:
-        """Fused ``submit``: enqueue, watermark, then drain eligibility
-        in one frame."""
-        dq = self._demand_queue
-        bq = self._background_queue
-        (dq if request.priority == Priority.DEMAND else bq).append(request)
-        depth = len(dq) + len(bq)
-        stats = self.stats
-        if depth > stats.max_queue_depth:
-            stats.max_queue_depth = depth
-        if self._inflight < self.pipeline_depth:
-            self._try_issue_turbo()
-
-    def _try_issue_turbo(self) -> None:
-        """Fused ``_try_issue`` + ``_pick`` + ``_issue``.
-
-        State (bus chain, in-flight count, float stat accumulators) is
-        held in locals across the drain loop and written back once; the
-        adds replay in the scalar order, so the float results are
-        bit-identical.  No callback runs inside the loop (completions
-        are scheduled, not invoked), so nothing can observe or mutate
-        the cached state mid-drain.
+        FR-FCFS within the scheduler window; demand is preferred over
+        background traffic at a ``background_share`` ratio, so
+        migrations are delayed under load but still consume real
+        bandwidth.
         """
         dq = self._demand_queue
         bq = self._background_queue
-        inflight = self._inflight
-        depth_limit = self.pipeline_depth
-        if inflight >= depth_limit or not (dq or bq):
-            return
-        engine = self._engine
-        now = engine.now
-        banks = self._banks
-        bursts = self._burst_cpu_cycles
-        stats = self.stats
-        bus_free = self._bus_free
-        busy = stats.bus_busy_cycles
-        qwait = stats.total_queue_wait
-        window = self.scheduler_window
-        cap = self.starvation_cap
-        share = self.background_share + 1
-        schedule_at = engine.schedule_at
-        complete = self._complete_turbo_bound
-        rcd = self._turbo_rcd
-        ras = self._turbo_ras
-        rp = self._turbo_rp
-        ccd = self._turbo_ccd
-        cas = self._turbo_cas
-        while (dq or bq) and inflight < depth_limit:
-            # -- pick (FR-FCFS within the window, demand over background)
+        while (dq or bq) and self._inflight < self.pipeline_depth:
+            # -- pick
             if not dq:
                 queue = bq
             elif not bq:
                 queue = dq
             else:
                 self._picks += 1
+                share = self.background_share + 1
                 queue = bq if self._picks % share == 0 else dq
             best_index = 0
-            if now - queue[0].arrival < cap:
-                limit = len(queue)
-                if limit > window:
-                    limit = window
+            if self._engine.now - queue[0].arrival < self.starvation_cap:
+                banks = self._banks
                 # islice walks the deque O(1) per step; indexing a deque
                 # is O(i) per probe, which quadraticizes deep-queue scans
-                for i, req in enumerate(islice(queue, limit)):
+                window = islice(queue, self.scheduler_window)
+                for i, req in enumerate(window):
                     coords = req.coords
                     if banks[coords.bank].open_row == coords.row:
                         best_index = i
@@ -384,57 +196,42 @@ class Channel:
                 del queue[best_index]
             else:
                 best = queue.popleft()
-            # -- issue (Bank.prepare inlined, then the bus chain); the
-            # precomputed cpm-scaled latencies keep every float the
-            # scalar expression's
-            coords = best.coords
-            bank = banks[coords.bank]
-            row = coords.row
-            ready = bank.ready
-            start = now if now > ready else ready
-            open_row = bank.open_row
-            bank_stats = bank.stats
-            if open_row == row:
-                bank_stats.row_hits += 1
-                cas_at = start
-            elif open_row is None:
-                bank_stats.row_closed += 1
-                bank._activated_at = start
-                cas_at = start + rcd
-            else:
-                bank_stats.row_conflicts += 1
-                precharge_at = bank._activated_at + ras
-                if start > precharge_at:
-                    precharge_at = start
-                activate_at = precharge_at + rp
-                bank._activated_at = activate_at
-                cas_at = activate_at + rcd
-            bank.open_row = row
-            bank.ready = cas_at + ccd
-            data_ready = cas_at + cas
-            data_start = data_ready if data_ready > bus_free else bus_free
-            size = best.size
-            burst = bursts.get(size)
-            if burst is None:
-                burst = self._t.burst_mem_cycles(size) * self._cpm
-                bursts[size] = burst
-            completion = data_start + burst
-            bus_free = completion
-            inflight += 1
-            busy += burst
-            qwait += data_start - best.arrival
-            if best.span is not None:
-                best.span.add_dram(data_start - best.arrival, burst)
-            schedule_at(completion, complete, best)
-        self._bus_free = bus_free
-        self._inflight = inflight
-        stats.bus_busy_cycles = busy
-        stats.total_queue_wait = qwait
+            self._issue(best)
 
-    def _complete_turbo(self, request: DRAMRequest) -> None:
-        """Fused ``_complete`` for turbo-issued requests.  The trailing
-        drain reloads channel state (the completion callback may have
-        submitted to this very channel)."""
+    def _issue(self, request: DRAMRequest) -> None:
+        """Open the request's row (``Bank.prepare``), claim the data bus
+        after it, and schedule the completion."""
+        now = self._engine.now
+        coords = request.coords
+        bank = self._banks[coords.bank]
+        if faults.ACTIVE is None:
+            data_ready = bank.prepare(coords.row, now)
+        else:
+            data_ready = faults.bank_prepare(bank, coords.row, now)
+        bus_free = self._bus_free
+        data_start = data_ready if data_ready > bus_free else bus_free
+        size = request.size
+        burst = self._burst_cpu_cycles.get(size)
+        if burst is None:
+            burst = self._t.burst_mem_cycles(size) * self._cpm
+            self._burst_cpu_cycles[size] = burst
+        completion = data_start + burst
+        self._bus_free = completion
+        self._inflight += 1
+        stats = self.stats
+        stats.bus_busy_cycles += burst
+        stats.total_queue_wait += data_start - request.arrival
+        if request.span is not None:
+            # attribute the queue/service split to the sampled request:
+            # everything before the data starts moving (bank preparation,
+            # bus contention, scheduler backlog) is queueing, the burst
+            # itself is service
+            request.span.add_dram(data_start - request.arrival, burst)
+        self._engine.schedule_at(completion, self._complete_bound, request)
+
+    def _complete(self, request: DRAMRequest) -> None:
+        """Stamp and account a finished transfer, run its callback, then
+        drain (the callback may have submitted to this very channel)."""
         request.completed_at = now = self._engine.now
         self._inflight -= 1
         stats = self.stats
@@ -449,55 +246,8 @@ class Channel:
             stats.demand_bytes += size
         else:
             stats.background_bytes += size
-        on_complete = request.on_complete
-        pool = self._req_pool
-        if pool is not None and len(pool) < self._REQ_POOL_CAP:
-            # recycle before the callback runs: the callback may submit
-            # again (and re-acquire this very object) but can never read
-            # the completed request — its payload is already in locals.
-            request.on_complete = None
-            request.span = None
-            pool.append(request)
-        if on_complete is not None:
-            on_complete(now)
+        if request.on_complete is not None:
+            request.on_complete(now)
         if ((self._demand_queue or self._background_queue)
                 and self._inflight < self.pipeline_depth):
-            self._try_issue_turbo()
-
-    def _complete_fast(self, size: int, is_write: bool, is_demand: bool,
-                       on_complete) -> None:
-        """Completion twin of ``_complete`` for fast-path chunks (no
-        request object to stamp)."""
-        self._inflight -= 1
-        stats = self.stats
-        if is_write:
-            stats.writes += 1
-            stats.bytes_written += size
-        else:
-            stats.reads += 1
-            stats.bytes_read += size
-        if is_demand:
-            stats.demand_bytes += size
-        else:
-            stats.background_bytes += size
-        if on_complete is not None:
-            on_complete(self._engine.now)
-        if self._demand_queue or self._background_queue:
             self._try_issue()
-
-    def _complete(self, request: DRAMRequest) -> None:
-        request.completed_at = self._engine.now
-        self._inflight -= 1
-        if request.is_write:
-            self.stats.writes += 1
-            self.stats.bytes_written += request.size
-        else:
-            self.stats.reads += 1
-            self.stats.bytes_read += request.size
-        if request.priority == Priority.DEMAND:
-            self.stats.demand_bytes += request.size
-        else:
-            self.stats.background_bytes += request.size
-        if request.on_complete is not None:
-            request.on_complete(self._engine.now)
-        self._try_issue()

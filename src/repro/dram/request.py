@@ -28,11 +28,11 @@ class DRAMRequest:
     arrival: float
     coords: DRAMCoordinates
     on_complete: Optional[Callable[[float], None]] = None
-    completed_at: float = field(default=-1.0)
     #: span of the sampled memory request this transfer serves (see
     #: :mod:`repro.telemetry.spans`); None on unsampled traffic, so the
     #: channel's attribution hook is one ``is None`` check.
     span: Optional[object] = None
+    completed_at: float = field(default=-1.0)
 
     @property
     def done(self) -> bool:

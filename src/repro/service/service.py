@@ -117,6 +117,10 @@ class ServiceMetrics:
             "repro_unique_simulations_total",
             "Distinct keys executed on the worker pool — the "
             "exactly-once witness.")
+        self.worker_restarts = reg.counter(
+            "repro_worker_restarts_total",
+            "Worker pools dropped after a worker died mid-cell; the "
+            "next key builds a fresh pool.")
         self.ndjson_bytes = reg.counter(
             "repro_ndjson_bytes_total",
             "NDJSON wire bytes by direction.",
@@ -402,6 +406,7 @@ class SweepService:
             "cells_completed": self.stats.cells_completed,
             "inflight": len(self._inflight),
             "connections": len(self._connections),
+            "worker_restarts": int(self.metrics.worker_restarts.value()),
         }
 
     # ------------------------------------------------------------------
@@ -769,6 +774,7 @@ class SweepService:
                     if self._pool is pool:
                         self._pool = None
                         pool.shutdown(wait=False)
+                        self.metrics.worker_restarts.inc()
                     raise
                 finally:
                     self._pool_busy -= 1

@@ -177,12 +177,12 @@ class SystemConfig:
     #: scalar path: traces are generated record-by-record and every
     #: miss walks the allocation-per-object pipeline.  N > 0 selects
     #: the vectorized batch engine (:mod:`repro.workloads` batch
-    #: generation, :mod:`repro.cpu.batch`, the DRAM fast paths): each
-    #: core pregenerates N misses at a time into numpy-backed column
-    #: arrays and the controller/device data plane takes allocation-
-    #: free fast paths wherever the scalar path's behaviour is provably
-    #: reproduced, falling back to the scalar machinery everywhere
-    #: else.  Simulated results are **bit-identical** in both modes
+    #: generation, :mod:`repro.cpu.batch`): each core pregenerates N
+    #: misses at a time into numpy-backed column arrays and the
+    #: controller takes allocation-lean fast paths wherever the scalar
+    #: path's behaviour is provably reproduced, falling back to the
+    #: scalar machinery everywhere else.  Both modes share one DRAM
+    #: data plane.  Simulated results are **bit-identical** in both modes
     #: (``tests/integration/test_batch_equivalence.py`` gates every
     #: scheme); only wall-clock speed changes.  Applies to ``"miss"``
     #: trace mode; reference mode always uses the scalar path.

@@ -1,28 +1,31 @@
-"""Test-only fault injection for the batch engine.
+"""Test-only fault injection for the mutation self-tests.
 
-The differential harness (``tests/integration/test_batch_equivalence.py``)
-asserts scalar and batched runs are byte-identical — but a harness that
-never fails proves nothing.  This module lets the mutation self-tests
-(``tests/integration/test_batch_mutations.py``) seed three deliberate,
-realistic batch-path bugs and assert the harness trips on each:
+A check that never fails proves nothing.  This module lets the mutation
+self-tests (``tests/integration/test_batch_mutations.py``) seed three
+deliberate, realistic bugs and assert the checks trip on each:
 
 ``window-off-by-one``
     The batch trace generator resumes a refill one record early,
     duplicating the window-boundary access (the classic off-by-one in
-    window chunking).
+    window chunking).  Only the batch engine generates traces in
+    windows, so the scalar-vs-batch equivalence check must catch it.
 ``drop-row-close``
-    The channel fast path treats a row-buffer conflict as a row hit,
+    The channel issue step treats a row-buffer conflict as a row hit,
     skipping the precharge/activate sequence (a dropped row close).
 ``stale-busy``
-    The channel fast path computes timing from the bank but never
+    The channel issue step computes timing from the bank but never
     advances the bank's busy-until (``ready``) time, so later requests
     see a stale bank state.
 
+The two DRAM faults hook the one bank-timing call site
+(``Channel._issue`` calls :func:`bank_prepare` instead of
+``Bank.prepare``).  Both engines share that data plane, so these faults
+perturb scalar and batched runs alike; the committed golden
+``RunResult`` files are the reference they must make a run diverge
+from.
+
 Normal operation: ``ACTIVE`` is ``None`` and every hook site reduces to
-one module-global load plus an ``is None`` check.  Faults only perturb the *batched* engine —
-the scalar reference path never consults this module — so an injected
-fault makes the two engines diverge, which is exactly what the harness
-must detect.
+one module-global load plus an ``is None`` check.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from contextlib import contextmanager
 #: the currently injected fault name, or None (production value).
 ACTIVE = None
 
-#: the fault names the batch path knows how to apply.
+#: the fault names the hook sites know how to apply.
 KNOWN = ("window-off-by-one", "drop-row-close", "stale-busy")
 
 
@@ -52,8 +55,8 @@ def inject(name: str):
 
 
 def bank_prepare(bank, row: int, now: float) -> float:
-    """Fault-aware stand-in for ``Bank.prepare`` on the channel fast
-    path (only called when a fault is active)."""
+    """Fault-aware stand-in for ``Bank.prepare`` in ``Channel._issue``
+    (only called when a fault is active)."""
     if ACTIVE == "drop-row-close":
         # BUG: a conflict is mis-classified as a hit — the open row is
         # never closed, so the precharge + activate latency vanishes.
