@@ -37,9 +37,10 @@ SCALE = 0.25
 
 def golden_json(scheme: str, batch_window: int = 0,
                 mshr_entries: int | None = None) -> str:
-    """Run one golden-grid cell.  ``batch_window`` selects the batch
-    engine (0 = scalar); both must reproduce the same committed bytes —
-    the goldens are the equivalence contract's anchor.  ``mshr_entries``
+    """Run one golden-grid cell.  ``batch_window`` sets the
+    trace-generation window (0 = the default window); every window must
+    reproduce the same committed bytes — the goldens are the
+    equivalence contract's anchor.  ``mshr_entries``
     overrides the config default: ``None`` runs the default MSHR
     pipeline (the ``{scheme}-{workload}.json`` goldens), 0 the compat
     front door (the ``{scheme}-{workload}-compat.json`` goldens, whose

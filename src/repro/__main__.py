@@ -121,14 +121,6 @@ def _add_mshr_flag(sub_parser: argparse.ArgumentParser) -> None:
              " file; pass 0 for the compat mode with no MSHR)")
 
 
-def _add_batch_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--batch-window", type=int, default=None, metavar="N",
-        help="run the vectorized batch engine with N-record trace windows"
-             " (bit-identical results, faster wall clock; default 0 ="
-             " scalar reference engine; see docs/batch_engine.md)")
-
-
 def _add_telemetry_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--telemetry", action="store_true",
@@ -176,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_check_flags(run_p)
     _add_telemetry_flags(run_p)
     _add_mshr_flag(run_p)
-    _add_batch_flag(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare schemes on a benchmark")
     cmp_p.add_argument("benchmark", choices=BENCHMARKS)
@@ -188,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_check_flags(cmp_p)
     _add_telemetry_flags(cmp_p)
     _add_mshr_flag(cmp_p)
-    _add_batch_flag(cmp_p)
     _add_executor_flags(cmp_p)
 
     fig_p = sub.add_parser(
@@ -257,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="where BENCH_<date>.json lands (default results/)")
     bench_p.add_argument(
         "--profile", action="store_true",
-        help="capture a cProfile of one untimed batched run per"
+        help="capture a cProfile of one untimed run per"
              " cell into <out-dir>/profiles/*.pstats")
 
     analyze_p = sub.add_parser(
@@ -309,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="label for this client in service stats")
     _add_check_flags(submit_p)
     _add_mshr_flag(submit_p)
-    _add_batch_flag(submit_p)
 
     top_p = sub.add_parser(
         "top", help="live terminal dashboard over a running service"
@@ -366,21 +355,11 @@ def _with_mshr(config, args):
     return dataclasses.replace(config, mshr_entries=entries)
 
 
-def _with_batch(config, args):
-    """Fold ``--batch-window`` into a config."""
-    window = getattr(args, "batch_window", None)
-    if window is None:
-        return config
-    if window < 0:
-        raise SystemExit("--batch-window must be >= 0")
-    return dataclasses.replace(config, batch_window=window)
-
-
 def _config(scale: Optional[float], args=None):
     config = default_config() if scale is None else default_config(scale=scale)
     if args is not None:
-        config = _with_batch(_with_mshr(
-            _with_telemetry(_with_check(config, args), args), args), args)
+        config = _with_mshr(
+            _with_telemetry(_with_check(config, args), args), args)
     return config
 
 
@@ -618,18 +597,9 @@ def _cmd_bench(args) -> int:
           _tail(c.get("p95_latency")), _tail(c.get("p99_latency"))]
          for c in payload["cells"]],
         title=f"bench ({'quick' if args.quick else 'full'})"))
-    speedup = throughput.get("batch_speedup")
     print(f"total: {throughput['total_accesses']:,} accesses in "
           f"{throughput['total_wall_seconds']:.2f}s "
-          f"({throughput['accesses_per_sec']:,.0f}/s"
-          + (f", batch speedup {speedup:.2f}x" if speedup else "") + ")")
-    curve = payload.get("batch_curve")
-    if curve:
-        points = "  ".join(
-            f"w={p['batch_window']}: {p['speedup']:.2f}x"
-            for p in curve["points"])
-        print(f"batch_window speedup curve ({'/'.join(curve['workloads'])}"
-              f" x {'/'.join(curve['variants'])}): {points}")
+          f"({throughput['accesses_per_sec']:,.0f}/s)")
     if profile_dir is not None:
         print(f"wrote per-cell profiles to {profile_dir}/")
     print(f"wrote {path}")

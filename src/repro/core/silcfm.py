@@ -135,7 +135,7 @@ class SilcFmScheme(MemoryScheme):
             self._release_stale_locks()
 
     # ------------------------------------------------------------------
-    # batch-engine fast path (repro.cpu.batch)
+    # single-op fast shape (MemoryScheme.access_fast)
     # ------------------------------------------------------------------
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
         """Table I rows 1 and 4 without plan construction.

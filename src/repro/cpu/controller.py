@@ -19,6 +19,10 @@ The stage walk is an explicit state machine on the transaction itself
 ``MemoryRequest.op_done``) rather than a chain of nested closures: one
 transaction object per miss carries everything, and the oracle and
 telemetry hooks fire on its lifecycle events (dispatch, completion).
+The common case — one critical-path op, no background traffic — skips
+the walk: the scheme answers through ``access_fast`` without building a
+plan, and the op's device completion completes the transaction
+(``MemoryRequest.fast_done``).
 """
 
 from __future__ import annotations
@@ -138,7 +142,14 @@ class FlatMemoryController:
 
     def handle_request(self, txn: MemoryRequest) -> None:
         """Dispatch one transaction: consult the scheme, fire background
-        traffic, and start walking the critical-path stages."""
+        traffic, and start walking the critical-path stages.
+
+        Without an oracle or a span recorder the scheme's single-op fast
+        shape (:meth:`~repro.schemes.base.MemoryScheme.access_fast`) is
+        tried first; it applies exactly the state transitions
+        ``access`` would, so both routes reach the same devices at the
+        same times.  The oracle and span hooks observe plan objects, so
+        with either attached every access builds its plan."""
         now = self._engine.now
         if now < self._stall_until:
             # OS epoch in progress: demand requests wait it out.
@@ -148,39 +159,97 @@ class FlatMemoryController:
         txn.state = DISPATCHED
         txn.dispatch_time = now
         txn.controller = self
+        scheme = self.scheme
         oracle = self.oracle
-        if oracle is not None:
-            oracle.before_access(txn.paddr, txn.is_write)
-        plan = self.scheme.access(txn.paddr, txn.is_write, txn.pc)
-        if oracle is not None:
-            oracle.after_access(txn.paddr, txn.is_write, plan)
         span = txn.span
-        if span is not None:
-            span.dispatch(now)
-            span.decide(self.scheme.span_row(plan),
-                        plan.serviced_from.value, plan.bypassed, now)
+        if oracle is None and self.spans is None:
+            fast = scheme.access_fast(txn.paddr, txn.is_write, txn.pc)
+            if fast is not None:
+                is_nm, addr, size, op_write = fast
+                if is_nm:
+                    self.stats.demand_nm_bytes += size
+                    device = self._nm
+                else:
+                    self.stats.demand_fm_bytes += size
+                    device = self._fm
+                self.inflight += 1
+                txn.state = STAGING
+                device.access(addr, size, op_write, Priority.DEMAND,
+                              txn.fast_done)
+                return
+            plan = scheme.access(txn.paddr, txn.is_write, txn.pc)
+        else:
+            if oracle is not None:
+                oracle.before_access(txn.paddr, txn.is_write)
+            plan = scheme.access(txn.paddr, txn.is_write, txn.pc)
+            if oracle is not None:
+                oracle.after_access(txn.paddr, txn.is_write, plan)
+            if span is not None:
+                span.dispatch(now)
+                span.decide(scheme.span_row(plan),
+                            plan.serviced_from.value, plan.bypassed, now)
         txn.plan = plan
-        txn.stages = plan.stages
+        stages = txn.stages = plan.stages
         self._account(plan)
+        nm = self._nm
+        fm = self._fm
         for op in plan.background:
-            self._issue(op, Priority.BACKGROUND, None)
+            (nm if op.level is Level.NM else fm).access(
+                op.addr, op.size, op.is_write, Priority.BACKGROUND)
         self.inflight += 1
         txn.state = STAGING
+        if span is None and len(stages) == 1 and len(stages[0]) == 1:
+            # one critical-path op: its completion is the transaction's
+            op = stages[0][0]
+            (nm if op.level is Level.NM else fm).access(
+                op.addr, op.size, op.is_write, Priority.DEMAND,
+                txn.fast_done)
+            return
         txn.stage_index = -1
         self._advance(txn, now)
 
     def handle_writeback(self, paddr: int) -> None:
-        """LLC dirty eviction: background write to the data's location.
+        """LLC dirty eviction: a 64 B background write to wherever the
+        data lives (:meth:`MemoryScheme.writeback`'s one shape, issued
+        without building its plan unless the oracle checks it).
 
         Writebacks bypass the MSHR file entirely (nothing waits on
         them), so their ordering is independent of demand coalescing."""
-        plan = self.scheme.writeback(paddr)
         if self.oracle is not None:
-            self.oracle.after_writeback(paddr, plan)
-        self.stats.writebacks += 1
-        self._account(plan)
-        for op in plan.background:
-            self._issue(op, Priority.BACKGROUND, None)
+            self.oracle.after_writeback(paddr, self.scheme.writeback(paddr))
+        level, offset = self.scheme.locate(paddr)
+        stats = self.stats
+        stats.writebacks += 1
+        if level is Level.NM:
+            stats.background_nm_bytes += 64
+            device = self._nm
+        else:
+            stats.background_fm_bytes += 64
+            device = self._fm
+        device.access(offset - offset % 64, 64, True, Priority.BACKGROUND)
+
+    def arm_warmup_halt(self, threshold: int) -> None:
+        """Wrap ``handle_request`` so the engine halts at the event
+        during which the scheme's miss count reaches ``threshold`` (the
+        count only moves inside demand dispatch, so this is the event
+        boundary a per-event check would find).  The wrapper unbinds
+        itself at the crossing, so steady state pays nothing."""
+        inner = type(self).handle_request
+        stats = self.scheme.stats
+        halt = self._engine.halt
+        armed = [True]
+
+        def checking(txn: MemoryRequest) -> None:
+            inner(self, txn)
+            if armed[0] and stats.misses >= threshold:
+                # disarm first: a stalled request may have captured this
+                # wrapper in a scheduled retry, which must not halt the
+                # steady-state loop when it fires post-warmup.
+                armed[0] = False
+                del self.handle_request
+                halt()
+
+        self.handle_request = checking
 
     # ------------------------------------------------------------------
     def _advance(self, txn: MemoryRequest, when: float) -> None:

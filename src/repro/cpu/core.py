@@ -8,19 +8,19 @@ full the core stalls until a miss returns; execution time therefore
 responds to memory latency *and* to bandwidth saturation, which is what
 the paper's bandwidth-bound evaluation needs.
 
-The core is mode-agnostic: a ``MissPath`` object decides whether a trace
-record goes through a modelled cache hierarchy (reference mode) or is
-already an LLC miss (miss-stream mode, the fast default).
+The core is mode-agnostic: an optional ``classify`` callback runs each
+trace record through a modelled cache hierarchy (reference mode);
+without it every record is already an LLC miss (miss mode, the
+default).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.sim.engine import Engine
-from repro.workloads.trace import MemoryAccess
 
 #: dirty lines a core keeps before the oldest is written back; models the
 #: residence time of dirty data in its LLC share.
@@ -43,9 +43,16 @@ class CoreStats:
 
 
 class Core:
-    """One out-of-order core replaying a trace."""
+    """One out-of-order core replaying a trace in column windows.
 
-    def __init__(self, engine: Engine, core_id: int, trace: Iterator[MemoryAccess],
+    ``batches`` yields :class:`~repro.workloads.model.MissBatch` windows
+    (:meth:`~repro.workloads.model.WorkloadModel.miss_batches` in miss
+    mode, :meth:`~repro.workloads.model.WorkloadModel.reference_batches`
+    in reference mode); the window size changes no event, only how
+    often the next window is fetched.
+    """
+
+    def __init__(self, engine: Engine, core_id: int, batches: Iterator,
                  issue_width: int, max_outstanding: int,
                  translate: Callable[[int], int],
                  send_miss: Callable[[int, bool, int, Callable[[float], None]], None],
@@ -56,7 +63,7 @@ class Core:
             raise ValueError("issue width and outstanding window must be >= 1")
         self._engine = engine
         self.core_id = core_id
-        self._trace = trace
+        self._batches = batches
         self._issue_width = issue_width
         self._max_outstanding = max_outstanding
         self._translate = translate
@@ -68,6 +75,17 @@ class Core:
         self._blocked = False
         self._draining = False
         self.finished = False
+        #: the current window's columns and the next record's index
+        self._pc: List[int] = []
+        self._vaddr: List[int] = []
+        self._write: List[bool] = []
+        self._gap: List[int] = []
+        self._cursor = 0
+        self._n = 0
+        #: callbacks bound once — ``self._miss_done`` at a call site
+        #: builds a fresh bound method per miss.
+        self._retire = self._miss_done
+        self._issue_bound = self._issue
         #: bounded FIFO; overflow evicts the oldest entry as a writeback
         #: (an explicit popleft rather than ``maxlen`` because a silent
         #: drop would lose the eviction).  deque makes that O(1) where a
@@ -80,41 +98,54 @@ class Core:
         self._engine.schedule(0, self._advance)
 
     def _advance(self) -> None:
-        """Fetch the next trace record and schedule its issue after the
+        """Take the next trace record and schedule its issue after the
         compute gap."""
-        record = next(self._trace, None)
-        if record is None:
-            self._draining = True
-            self._maybe_finish()
-            return
-        self.stats.instructions += record.gap_instr
-        delay = record.gap_instr / self._issue_width
-        self._engine.schedule(delay, self._issue, record)
+        i = self._cursor
+        if i == self._n:
+            batch = next(self._batches, None)
+            if batch is None:
+                self._draining = True
+                self._maybe_finish()
+                return
+            self._pc = batch.pc
+            self._vaddr = batch.vaddr
+            self._write = batch.is_write
+            self._gap = batch.gap_instr
+            self._n = len(batch.pc)
+            i = 0
+        self._cursor = i + 1
+        gap = self._gap[i]
+        self.stats.instructions += gap
+        self._engine.schedule(gap / self._issue_width, self._issue_bound,
+                              self._pc[i], self._vaddr[i], self._write[i])
 
-    def _issue(self, record: MemoryAccess) -> None:
-        self.stats.accesses += 1
-        paddr = self._translate(record.vaddr)
+    def _issue(self, pc: int, vaddr: int, is_write: bool) -> None:
+        stats = self.stats
+        stats.accesses += 1
+        paddr = self._translate(vaddr)
         if self._classify is not None:
-            outcome = self._classify(paddr, record.is_write, self.core_id)
+            outcome = self._classify(paddr, is_write, self.core_id)
             if outcome.writeback_addr is not None:
                 self._send_writeback(outcome.writeback_addr)
             if not outcome.llc_miss:
                 # cache hit: its latency folds into compute time
                 self._engine.schedule(outcome.latency_cycles, self._advance)
                 return
-        self._issue_miss(paddr, record)
-
-    def _issue_miss(self, paddr: int, record: MemoryAccess) -> None:
+        elif is_write:
+            # miss-stream mode: queue a future writeback for the dirtied
+            # line (reference mode gets real LLC evictions instead).
+            fifo = self._dirty_fifo
+            fifo.append(paddr)
+            if len(fifo) > DIRTY_FIFO_DEPTH:
+                self._send_writeback(fifo.popleft())
         self._outstanding += 1
-        self.stats.misses_issued += 1
-        if record.is_write:
-            self._track_dirty(paddr)
-        self._send_miss(paddr, record.is_write, record.pc, self._miss_done)
+        stats.misses_issued += 1
+        self._send_miss(paddr, is_write, pc, self._retire)
         if self._outstanding < self._max_outstanding:
             self._advance()
         else:
             self._blocked = True
-            self.stats.stall_events += 1
+            stats.stall_events += 1
 
     def _miss_done(self, when: float) -> None:
         self._outstanding -= 1
@@ -122,16 +153,8 @@ class Core:
         if self._blocked:
             self._blocked = False
             self._advance()
-        self._maybe_finish()
-
-    def _track_dirty(self, paddr: int) -> None:
-        """Queue a future writeback for a dirtied line (miss-stream mode;
-        reference mode gets real LLC evictions instead)."""
-        if self._classify is not None:
-            return
-        self._dirty_fifo.append(paddr)
-        if len(self._dirty_fifo) > DIRTY_FIFO_DEPTH:
-            self._send_writeback(self._dirty_fifo.popleft())
+        if self._draining:
+            self._maybe_finish()
 
     def _maybe_finish(self) -> None:
         if self._draining and self._outstanding == 0 and not self.finished:

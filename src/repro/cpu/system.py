@@ -30,7 +30,7 @@ from repro.dram.device import MemoryDevice
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.schemes.base import MemoryScheme, SchemeStats
 from repro.sim import window
-from repro.sim.config import SystemConfig
+from repro.sim.config import DEFAULT_BATCH_WINDOW, SystemConfig
 from repro.sim.engine import Engine, SimulationError
 from repro.telemetry import Telemetry
 from repro.workloads.model import WorkloadModel, WorkloadSpec
@@ -171,18 +171,7 @@ class System:
 
             self.oracle = ValidationOracle(
                 self.scheme, check_every=config.check_interval)
-        #: batch engine (repro.cpu.batch): vectorized trace generation +
-        #: allocation-lean data plane, bit-identical to the scalar path
-        #: (miss mode only; reference mode always runs scalar).
-        use_batch = config.batch_window > 0 and mode == "miss"
-        self._use_batch = use_batch
-        if use_batch:
-            from repro.cpu.batch import BatchCore, BatchFlatMemoryController
-
-            controller_cls = BatchFlatMemoryController
-        else:
-            controller_cls = FlatMemoryController
-        self.controller = controller_cls(
+        self.controller = FlatMemoryController(
             self.engine, self.scheme, self.nm_device, self.fm_device,
             oracle=self.oracle)
         #: MSHR file between the cores and the controller; None at the
@@ -193,10 +182,6 @@ class System:
         if config.mshr_entries > 0:
             self.mshr = MSHRFile(
                 self.engine, config.mshr_entries, self.controller)
-            if use_batch:
-                # batch data plane recycles transactions; the scalar
-                # reference path keeps its per-miss allocations.
-                self.mshr.enable_pooling()
         send_miss = (self.mshr.issue if self.mshr is not None
                      else self.controller.handle_miss)
         self.hierarchy = (
@@ -207,35 +192,22 @@ class System:
         specs = workload_per_core or [workload] * config.cores
         if len(specs) != config.cores:
             raise ValueError("need one workload spec per core")
+        window = config.batch_window or DEFAULT_BATCH_WINDOW
         self.cores: List[Core] = []
         self.page_tables: List[PageTable] = []
         self._finished = 0
-        self._halt_on_done = False
         for core_id, spec in enumerate(specs):
             table = PageTable(allocator, asid=core_id)
             self.page_tables.append(table)
             model = WorkloadModel(spec, seed=seed * 1000 + core_id)
-            if use_batch:
-                core = BatchCore(
-                    self.engine, core_id,
-                    model.miss_batches(misses_per_core, config.batch_window),
-                    issue_width=config.core.issue_width,
-                    max_outstanding=config.core.max_outstanding_misses,
-                    translate=table.translate,
-                    send_miss=send_miss,
-                    send_writeback=self.controller.handle_writeback,
-                    on_finished=self._core_finished,
-                )
-                self.cores.append(core)
-                continue
             if mode == "miss":
-                trace = model.miss_stream(misses_per_core)
+                batches = model.miss_batches(misses_per_core, window)
                 classify = None
             else:
-                trace = model.reference_stream(misses_per_core)
+                batches = model.reference_batches(misses_per_core, window)
                 classify = self._classify
-            core = Core(
-                self.engine, core_id, trace,
+            self.cores.append(Core(
+                self.engine, core_id, batches,
                 issue_width=config.core.issue_width,
                 max_outstanding=config.core.max_outstanding_misses,
                 translate=table.translate,
@@ -243,8 +215,7 @@ class System:
                 send_writeback=self.controller.handle_writeback,
                 classify=classify,
                 on_finished=self._core_finished,
-            )
-            self.cores.append(core)
+            ))
 
         self.telemetry: Optional[Telemetry] = None
         self.spans = None
@@ -305,10 +276,10 @@ class System:
 
     def _core_finished(self, core: Core) -> None:
         self._finished += 1
-        if self._halt_on_done and self._finished == len(self.cores):
+        if self._finished == len(self.cores):
             # stop the engine right after this event: remaining queued
             # events (in-flight background traffic, samplers) stay
-            # unexecuted, exactly as the old per-event step loop did.
+            # unexecuted.
             self.engine.halt()
 
     def _check_warmup(self) -> None:
@@ -331,81 +302,33 @@ class System:
     def run(self, max_events: Optional[int] = None) -> RunResult:
         """Run the engine until every core retires its whole trace.
 
-        The warmup region steps event-by-event (the reset point depends
-        on a per-event miss-count check); the steady-state region runs
-        inside ``Engine.run``'s fast dispatch loop and halts the moment
-        the last core finishes.  ``max_events`` uses the engine's
-        watchdog semantics: exactly ``max_events`` dispatches are
-        allowed, dispatching one more raises.
+        With warmup, a first phase runs until the controller's warmup
+        halt fires (the event during which the scheme's miss count
+        reaches the warmup threshold) or every core finishes; the
+        statistics reset there.  The rest runs until the last core
+        finishes.  Both phases go through ``window.run_closed_form``
+        (looked up on the module, so a tracer's wrapper takes effect).
+        ``max_events`` uses the engine's watchdog semantics over the
+        whole run: exactly ``max_events`` dispatches are allowed,
+        dispatching one more raises.
         """
-        import gc
-
         for core in self.cores:
             core.start()
         engine = self.engine
         total = len(self.cores)
-        dispatched = 0
-        warming = self._warmup_misses > 0
-        # the batch data plane recycles its hot objects, so cyclic-GC
-        # passes over the event loop are pure overhead; collection is
-        # suspended for the run (refcount frees are unaffected, and no
-        # simulation state observes the collector).
-        collecting = self._use_batch and gc.isenabled()
-        if collecting:
-            gc.disable()
-        # batch mode without a watchdog runs through the batch drive
-        # loop (``window.run_closed_form``, looked up on the module so a
-        # tracer's wrapper takes effect)
-        drive = self._use_batch and max_events is None
-        try:
-            if warming and drive:
-                # batch engine: the warmup reset point is a *miss-count*
-                # crossing, which only ever moves inside a demand-dispatch
-                # event — so the controller halts the fast loop at the
-                # crossing event instead of the per-event step-and-check
-                # loop.  The engine state at the reset is identical:
-                # Engine.run stops right after the event during which the
-                # count crossed, exactly where the step loop's check
-                # would have fired.
-                window.run_closed_form(self, self._warmup_misses)
-                self._check_warmup()
-                if self._warmup_done_at is None:
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
-                warming = False
-            while warming and self._finished < total:
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-                if not engine.step():
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
-                dispatched += 1
-                self._check_warmup()
-                warming = self._warmup_done_at is None
-            if self._finished < total:
-                self._halt_on_done = True
-                try:
-                    if drive:
-                        window.run_closed_form(self)
-                    else:
-                        engine.run(max_events=(None if max_events is None
-                                               else max_events - dispatched))
-                finally:
-                    self._halt_on_done = False
-                if self._finished < total:
-                    raise SimulationError(
-                        f"event queue drained with {total - self._finished}"
-                        " cores unfinished (lost completion callback?)"
-                    )
-        finally:
-            if collecting:
-                gc.enable()
+        started = engine.events_dispatched
+        if self._warmup_misses > 0:
+            window.run_closed_form(self, self._warmup_misses, max_events)
+            self._check_warmup()
+        if self._finished < total:
+            budget = (None if max_events is None else
+                      max_events - (engine.events_dispatched - started))
+            window.run_closed_form(self, max_events=budget)
+        if self._finished < total:
+            raise SimulationError(
+                f"event queue drained with {total - self._finished}"
+                " cores unfinished (lost completion callback?)"
+            )
         finish = max(core.stats.finish_time for core in self.cores)
         elapsed = finish - (self._warmup_done_at or 0.0)
         if self.oracle is not None:

@@ -26,14 +26,6 @@ host-noise-free and tight.  ``--quick`` runs skip the tail pass unless
 the config explicitly enables span sampling: the CI-sized suite exists
 for throughput, and the untimed pass used to double its runtime.
 
-Since schema v4 each cell is run **twice**, scalar and batched
-(``SystemConfig.batch_window = BENCH_BATCH_WINDOW``), both timed.  The
-two runs' ``RunResult`` digests must be identical — the bench refuses
-to report a speedup for an engine that changed behaviour — and the cell
-carries ``batched_wall_seconds``/``batched_accesses_per_sec``/
-``batch_speedup`` so the regression gate can hold both engines to their
-baselines.
-
 Since schema v6 the payload also carries a ``service`` section: the
 multi-tenant sweep service (``python -m repro serve``) driven through a
 pinned concurrent load by :func:`repro.service.bench.run_service_bench`
@@ -59,11 +51,9 @@ from repro.stats.collectors import geometric_mean
 #: MSHR-coalescing variant of the paper scheme.
 #: v3: cells gained ``p95_latency``/``p99_latency`` request-latency
 #: tails (simulation cycles, from a separate untimed span-sampled run).
-#: v4: cells gained a timed batch-engine twin run
-#: (``batched_wall_seconds``/``batched_accesses_per_sec``/
-#: ``batch_speedup``, digest-checked against the scalar run) and the
-#: throughput summary a ``batched_accesses_per_sec`` total; quick runs
-#: stopped carrying tails unless span sampling is enabled in the config.
+#: v4: cells gained a timed, digest-checked twin run on the batch
+#: engine (since removed, see v8); quick runs stopped carrying tails
+#: unless span sampling is enabled in the config.
 #: v5: the MSHR transaction pipeline became the simulator default after
 #: the silc-mshr32 postmortem (docs/architecture.md) — the headline
 #: cells now run with the default MSHR file, the old ``silc-mshr32``
@@ -76,14 +66,12 @@ from repro.stats.collectors import geometric_mean
 #: (cells/sec), hot cache-hit throughput and service latency
 #: (p50/p95 ms), dedup hit rate, and the exactly-once/conservation
 #: correctness witnesses the gate hard-fails on.
-#: v7: the payload gained a ``batch_curve`` section — the batch engine
-#: swept across ``batch_window`` sizes (:data:`BENCH_CURVE_WINDOWS`,
-#: window 0 being the scalar reference) over the pinned quick-suite
-#: cells, each point digest-checked against the scalar run.  The
-#: regression gate treats a missing curve against a v7+ baseline as a
-#: failure (pre-v7 baselines skip), so the curve cannot silently drop
-#: out of the bench.
-BENCH_SCHEMA_VERSION = 7
+#: v7: the payload gained a speedup curve of the batch engine across
+#: trace-window sizes (since removed, see v8).
+#: v8: the simulator has one engine, so the v4 twin-run fields, the
+#: top-level window and the v7 curve section are gone: they would time
+#: the same code twice.  Each cell is timed once.
+BENCH_SCHEMA_VERSION = 8
 
 #: pinned seed — throughput comparisons need identical event streams.
 BENCH_SEED = 1234
@@ -96,18 +84,6 @@ BENCH_MSHR_ENTRIES = 128
 
 #: telemetry window for the untimed tail-latency companion run.
 BENCH_TAIL_WINDOW = 50_000
-
-#: miss-stream window for the batch-engine twin run (v4).  Pinned like
-#: the seed: the speedup column is only comparable across checkouts if
-#: every run batches the same way.
-BENCH_BATCH_WINDOW = 256
-
-#: ``batch_window`` sweep for the v7 speedup curve.  Window 0 is the
-#: scalar reference engine (the curve's denominator); the rest exercise
-#: the batch engine at increasing trace-window sizes.  Pinned
-#: like everything else: the curve is only comparable across checkouts
-#: if every run sweeps the same points.
-BENCH_CURVE_WINDOWS = (0, 256, 1024, 4096)
 
 #: suites are (cell key, scheme, mshr_entries) triples; the key names
 #: the cell in the JSON and stays stable across schema versions.
@@ -156,69 +132,9 @@ class BenchCell:
     #: overflow, a pre-v3 baseline, or a quick run with tails disabled.
     p95_latency: Optional[float] = None
     p99_latency: Optional[float] = None
-    #: batch-engine twin run (schema v4): same cell with
-    #: ``batch_window = BENCH_BATCH_WINDOW``, digest-checked against the
-    #: scalar run before its throughput is reported.
-    batched_wall_seconds: Optional[float] = None
-    batched_accesses_per_sec: Optional[float] = None
-    #: scalar wall / batched wall (>1 = the batch engine is faster).
-    batch_speedup: Optional[float] = None
 
     def to_dict(self) -> Dict:
         return dict(self.__dict__)
-
-
-def run_batch_curve(config: Optional[SystemConfig] = None) -> Dict:
-    """The v7 ``batch_window`` speedup curve over the pinned quick-suite
-    cells (both quick and full benches run the same curve definition, so
-    the points are comparable between them).
-
-    Each swept window re-runs every curve cell; every windowed run's
-    ``RunResult`` digest must equal the scalar (window 0) run's — a
-    point is only reported for an engine that proved bit-identity at
-    that window size.  Returns the ``batch_curve`` payload section.
-    """
-    import dataclasses
-
-    from repro.experiments.runner import run_one
-
-    config = config or default_config()
-    scalar_digests: Dict[tuple, str] = {}
-    points = []
-    scalar_wall = None
-    for window in BENCH_CURVE_WINDOWS:
-        start = time.perf_counter()
-        for workload in QUICK_WORKLOADS:
-            for key, scheme, mshr_entries in QUICK_VARIANTS:
-                cell_config = dataclasses.replace(
-                    config, mshr_entries=mshr_entries, batch_window=window)
-                result = run_one(scheme, workload, cell_config,
-                                 misses_per_core=QUICK_MISSES,
-                                 seed=BENCH_SEED)
-                digest = json.dumps(result.to_dict(), sort_keys=True)
-                if window == 0:
-                    scalar_digests[(key, workload)] = digest
-                elif digest != scalar_digests[(key, workload)]:
-                    raise AssertionError(
-                        f"batch engine diverged from scalar on "
-                        f"curve cell {key}/{workload} at "
-                        f"batch_window={window}; run the equivalence "
-                        "suite (tests/integration/"
-                        "test_batch_equivalence.py)")
-        wall = time.perf_counter() - start
-        if window == 0:
-            scalar_wall = wall
-        points.append({
-            "batch_window": window,
-            "wall_seconds": round(wall, 4),
-            "speedup": round(scalar_wall / wall, 2) if wall else 0.0,
-        })
-    return {
-        "variants": [key for key, _s, _m in QUICK_VARIANTS],
-        "workloads": list(QUICK_WORKLOADS),
-        "misses_per_core": QUICK_MISSES,
-        "points": points,
-    }
 
 
 def run_bench(quick: bool = False,
@@ -228,7 +144,7 @@ def run_bench(quick: bool = False,
     """Run the pinned set; returns the ``BENCH_*.json`` payload.
 
     ``profile_dir`` (the ``--profile`` flag) additionally captures a
-    cProfile of one *untimed* batched run per cell, written as
+    cProfile of one *untimed* re-run per cell, written as
     ``<key>-<workload>.pstats`` side artifacts — outside the
     ``perf_counter`` windows, so the reported throughput stays
     comparable to unprofiled baselines.  Inspect with::
@@ -266,34 +182,15 @@ def run_bench(quick: bool = False,
             wall = time.perf_counter() - start
             results[(key, workload)] = result
             accesses = misses * config.cores
-            # batch-engine twin (v4): same cell, batched windows.  The
-            # digest check makes the speedup claim honest — a batch
-            # engine that drifts from the scalar engine has no
-            # throughput to report, it has a bug.
-            batched_config = dataclasses.replace(
-                cell_config, batch_window=BENCH_BATCH_WINDOW)
-            start = time.perf_counter()
-            batched_result = run_one(scheme, workload, batched_config,
-                                     misses_per_core=misses,
-                                     seed=BENCH_SEED)
-            batched_wall = time.perf_counter() - start
-            scalar_digest = json.dumps(result.to_dict(), sort_keys=True)
-            batched_digest = json.dumps(batched_result.to_dict(),
-                                        sort_keys=True)
-            if batched_digest != scalar_digest:
-                raise AssertionError(
-                    f"batch engine diverged from scalar on bench cell "
-                    f"{key}/{workload}; run the equivalence suite "
-                    "(tests/integration/test_batch_equivalence.py)")
             if profile_dir is not None:
-                # untimed profiled re-run of the batched cell, so
-                # hotspots are measurable instead of guessed (kept
-                # outside the perf_counter windows).
+                # untimed profiled re-run of the cell, so hotspots are
+                # measurable instead of guessed (kept outside the
+                # perf_counter window).
                 import cProfile
 
                 profiler = cProfile.Profile()
                 profiler.enable()
-                run_one(scheme, workload, batched_config,
+                run_one(scheme, workload, cell_config,
                         misses_per_core=misses, seed=BENCH_SEED)
                 profiler.disable()
                 profiler.dump_stats(
@@ -324,11 +221,6 @@ def run_bench(quick: bool = False,
                 access_rate=round(result.access_rate, 4),
                 p95_latency=tails["p95"],
                 p99_latency=tails["p99"],
-                batched_wall_seconds=round(batched_wall, 4),
-                batched_accesses_per_sec=(round(accesses / batched_wall, 1)
-                                          if batched_wall else 0.0),
-                batch_speedup=(round(wall / batched_wall, 2)
-                               if batched_wall else 0.0),
             ))
 
     # headline figures of merit: per-workload speedups over the no-NM
@@ -352,19 +244,13 @@ def run_bench(quick: bool = False,
 
     service = run_service_bench(quick=quick)
 
-    # v7: the batch engine's batch_window speedup curve (same
-    # pinned definition for quick and full runs).
-    batch_curve = run_batch_curve(config)
-
     total_wall = sum(c.wall_seconds for c in cells)
-    total_batched_wall = sum(c.batched_wall_seconds for c in cells)
     total_accesses = sum(c.accesses for c in cells)
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "date": today or time.strftime("%Y-%m-%d"),
         "quick": quick,
         "seed": BENCH_SEED,
-        "batch_window": BENCH_BATCH_WINDOW,
         "platform": {
             "python": sys.version.split()[0],
             "implementation": platform.python_implementation(),
@@ -377,16 +263,9 @@ def run_bench(quick: bool = False,
             "total_accesses": total_accesses,
             "accesses_per_sec": (round(total_accesses / total_wall, 1)
                                  if total_wall else 0.0),
-            "batched_wall_seconds": round(total_batched_wall, 4),
-            "batched_accesses_per_sec": (
-                round(total_accesses / total_batched_wall, 1)
-                if total_batched_wall else 0.0),
-            "batch_speedup": (round(total_wall / total_batched_wall, 2)
-                              if total_batched_wall else 0.0),
         },
         "figures_of_merit": {"speedup_over_nonm": speedups},
         "service": service,
-        "batch_curve": batch_curve,
     }
 
 

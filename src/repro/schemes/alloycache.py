@@ -92,7 +92,7 @@ class AlloyCacheScheme(MemoryScheme):
 
     # ------------------------------------------------------------------
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: a cache hit is one TAD read with no
+        """Single-op fast shape: a cache hit is one TAD read with no
         background.  Misses (two-stage fill + possible dirty victim)
         and NM-space addresses (which :meth:`access` rejects with an
         explanatory error) fall back before any state changes."""

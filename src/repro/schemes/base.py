@@ -55,7 +55,7 @@ class Op:
     Allocation-lean: a hand-rolled slotted class rather than a frozen
     dataclass — a simulation constructs millions of these and the
     frozen-dataclass ``__init__`` (one ``object.__setattr__`` per
-    field) was a measurable slice of both engines' plan machinery.
+    field) was a measurable slice of the plan machinery.
     Nothing compares or hashes ops, so the generated ``__eq__``/
     ``__hash__`` are not missed; the per-op sanity check is hoisted
     into :meth:`validate`, which the differential oracle (and any test
@@ -215,7 +215,7 @@ class MemoryScheme(abc.ABC):
     # ------------------------------------------------------------------
     def access_fast(self, paddr: int, is_write: bool,
                     pc: int = 0) -> Optional[Tuple[bool, int, int, bool]]:
-        """Allocation-free fast path for the batch engine's common case.
+        """Allocation-free fast path for the common single-op access.
 
         When this miss resolves to a *single critical-path op with no
         background traffic*, a scheme may handle it here: apply exactly
@@ -226,10 +226,12 @@ class MemoryScheme(abc.ABC):
         still fetches with a read op in most schemes).  Return ``None`` —
         **before mutating any state** — to make the controller fall
         back to :meth:`access`; the base always does, so schemes opt in
-        per hot shape.  Only the batch engine
-        (:class:`repro.cpu.batch.BatchFlatMemoryController`) calls
-        this; the scalar path never does, and equivalence of the two is
-        gated by ``tests/integration/test_batch_equivalence.py``.
+        per hot shape.  The controller
+        (:meth:`repro.cpu.controller.FlatMemoryController.handle_request`)
+        tries this first on every demand access unless an oracle or a
+        span recorder is attached (their hooks observe plans);
+        ``tests/schemes/test_access_fast.py`` checks the contract access
+        by access.
         """
         return None
 

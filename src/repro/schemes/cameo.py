@@ -67,7 +67,7 @@ class CameoScheme(MemoryScheme):
             Level.FM, [[tag_read], [fm_read]], background, False, "fm-swap")
 
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: an NM hit is one extended-burst read
+        """Single-op fast shape: an NM hit is one extended-burst read
         with no background.  Misses swap (and, in CAMEOP, prefetch), so
         they fall back to :meth:`access` — before any state changes.
         The hit path is identical in both CAMEO variants, so CAMEOP

@@ -96,7 +96,7 @@ class HmaScheme(MemoryScheme):
         return plan
 
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: between epochs the mapping is frozen
+        """Single-op fast shape: between epochs the mapping is frozen
         and every access is one subblock read with no background, so
         :meth:`access` inlines entirely (the epoch machinery runs off
         the engine's timer, not from here)."""

@@ -99,7 +99,7 @@ class PomScheme(MemoryScheme):
         return plan
 
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: with the remap entry cached in SRAM
+        """Single-op fast shape: with the remap entry cached in SRAM
         the critical path is one subblock op — NM hit, or FM read when
         the competing counter stays under threshold.  Remap-cache misses
         (extra metadata stage) and threshold crossings (4 KB migration)

@@ -39,7 +39,7 @@ class StaticScheme(MemoryScheme):
         return plan
 
     def access_fast(self, paddr: int, is_write: bool, pc: int = 0):
-        """Batch-engine fast path: every static access is one 64 B op
+        """Single-op fast shape: every static access is one 64 B op
         with no background traffic, so the whole of :meth:`access`
         (locate + record_plan) inlines here."""
         stats = self.stats

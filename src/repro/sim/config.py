@@ -34,6 +34,8 @@ SUBBLOCK_BYTES = 64
 BLOCK_BYTES = 2048
 #: Subblocks per large block (32 -> one 32-bit residency vector per block).
 SUBBLOCKS_PER_BLOCK = BLOCK_BYTES // SUBBLOCK_BYTES
+#: trace-generation window used when ``SystemConfig.batch_window`` is 0.
+DEFAULT_BATCH_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -173,19 +175,13 @@ class SystemConfig:
     #: (``telemetry_window > 0``): the span aggregate rides inside the
     #: telemetry snapshot and the Perfetto slices inside its trace.
     span_sample_rate: int = 0
-    #: Batch-engine window, in LLC misses per core.  0 (default) is the
-    #: scalar path: traces are generated record-by-record and every
-    #: miss walks the allocation-per-object pipeline.  N > 0 selects
-    #: the vectorized batch engine (:mod:`repro.workloads` batch
-    #: generation, :mod:`repro.cpu.batch`): each core pregenerates N
-    #: misses at a time into numpy-backed column arrays and the
-    #: controller takes allocation-lean fast paths wherever the scalar
-    #: path's behaviour is provably reproduced, falling back to the
-    #: scalar machinery everywhere else.  Both modes share one DRAM
-    #: data plane.  Simulated results are **bit-identical** in both modes
+    #: Trace-generation window, in records per core: each core
+    #: pregenerates its trace this many records at a time
+    #: (:meth:`repro.workloads.model.WorkloadModel.miss_batches`).  0
+    #: means :data:`DEFAULT_BATCH_WINDOW`.  The window changes no
+    #: simulated result, only how often generation runs
     #: (``tests/integration/test_batch_equivalence.py`` gates every
-    #: scheme); only wall-clock speed changes.  Applies to ``"miss"``
-    #: trace mode; reference mode always uses the scalar path.
+    #: scheme at two windows).
     batch_window: int = 0
 
     def __post_init__(self) -> None:

@@ -5,10 +5,9 @@ self-tests (``tests/integration/test_batch_mutations.py``) seed three
 deliberate, realistic bugs and assert the checks trip on each:
 
 ``window-off-by-one``
-    The batch trace generator resumes a refill one record early,
+    The trace generator resumes the next window one record early,
     duplicating the window-boundary access (the classic off-by-one in
-    window chunking).  Only the batch engine generates traces in
-    windows, so the scalar-vs-batch equivalence check must catch it.
+    window chunking).
 ``drop-row-close``
     The channel issue step treats a row-buffer conflict as a row hit,
     skipping the precharge/activate sequence (a dropped row close).
@@ -19,10 +18,10 @@ deliberate, realistic bugs and assert the checks trip on each:
 
 The two DRAM faults hook the one bank-timing call site
 (``Channel._issue`` calls :func:`bank_prepare` instead of
-``Bank.prepare``).  Both engines share that data plane, so these faults
-perturb scalar and batched runs alike; the committed golden
-``RunResult`` files are the reference they must make a run diverge
-from.
+``Bank.prepare``).  Every run generates its trace in windows and runs
+that one data plane, so the committed golden ``RunResult`` files are
+the reference each fault must make a run diverge from, at any
+generation window.
 
 Normal operation: ``ACTIVE`` is ``None`` and every hook site reduces to
 one module-global load plus an ``is None`` check.

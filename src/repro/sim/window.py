@@ -1,8 +1,8 @@
-"""The batch engine's drive loop.
+"""The drive loop every ``System.run`` dispatches through.
 
-:func:`run_closed_form` is what ``System.run`` calls to dispatch a
-batch-mode run on the engine's ordinary heap.  Its name and signature
-are pinned: the benchmark's outside-in tracer (``perfbench/tracing.py``)
+:func:`run_closed_form` runs one phase of a simulation (warmup, or the
+rest) on the engine's ordinary heap.  Its name and signature are
+pinned: the benchmark's outside-in tracer (``perfbench/tracing.py``)
 wraps this module attribute as a ``sim`` span, so ``System.run`` looks
 it up through the module on every call.
 """
@@ -12,11 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 
-def run_closed_form(system, warmup_threshold: Optional[int] = None) -> None:
+def run_closed_form(system, warmup_threshold: Optional[int] = None,
+                    max_events: Optional[int] = None) -> None:
     """Run the system's engine until its queue drains or a callback
-    halts it.  With ``warmup_threshold`` set, the batch controller's
-    warmup halt is armed first, so the run stops right after the event
-    during which the scheme's miss count crosses the threshold."""
+    halts it.  With ``warmup_threshold`` set, the controller's warmup
+    halt is armed first, so the run stops right after the event during
+    which the scheme's miss count reaches the threshold.  ``max_events``
+    is the engine's watchdog (:meth:`repro.sim.engine.Engine.run`)."""
     if warmup_threshold is not None:
         system.controller.arm_warmup_halt(warmup_threshold)
-    system.engine.run()
+    system.engine.run(max_events=max_events)

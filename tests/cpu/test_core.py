@@ -3,7 +3,7 @@
 from repro.cache.hierarchy import HierarchyOutcome
 from repro.cpu.core import DIRTY_FIFO_DEPTH, Core
 from repro.sim.engine import Engine
-from repro.workloads.trace import MemoryAccess
+from repro.workloads.model import MissBatch
 
 
 class FakeMemory:
@@ -24,8 +24,11 @@ class FakeMemory:
 
 
 def trace(records):
-    return iter([MemoryAccess(pc=1 << 40, vaddr=v, is_write=w, gap_instr=g)
-                 for v, w, g in records])
+    """The records as one column window (what the core replays)."""
+    return iter([MissBatch([1 << 40] * len(records),
+                           [v for v, _w, _g in records],
+                           [w for _v, w, _g in records],
+                           [g for _v, _w, g in records])])
 
 
 def run_core(records, latency=100.0, max_outstanding=2, classify=None):

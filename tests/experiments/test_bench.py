@@ -84,9 +84,7 @@ def _shrink_quick_suite(monkeypatch):
 def test_quick_run_makes_no_tail_pass(monkeypatch):
     """The fixed bug: --quick used to re-run every cell span-sampled
     even with span_sample_rate=0 inherited from the config.  A quick
-    cell must now run exactly twice (scalar + batched twin) plus one
-    run per batch_window curve window — never a span-sampled pass."""
-    import repro.experiments.bench as bench
+    cell must now run exactly once — never a span-sampled pass."""
     import repro.experiments.runner as runner
 
     _shrink_quick_suite(monkeypatch)
@@ -99,7 +97,7 @@ def test_quick_run_makes_no_tail_pass(monkeypatch):
 
     monkeypatch.setattr(runner, "run_one", counting)
     run_bench(quick=True, config=default_config(scale=0.25))
-    assert len(calls) == 2 + len(bench.BENCH_CURVE_WINDOWS)
+    assert len(calls) == 1
     assert all(rate == 0 for rate in calls)
 
 
@@ -122,69 +120,24 @@ def test_payload_throughput_totals(quick_payload):
     assert totals["total_accesses"] == sum(c["accesses"] for c in cells)
     assert totals["total_wall_seconds"] == pytest.approx(
         sum(c["wall_seconds"] for c in cells))
-    assert totals["batched_wall_seconds"] == pytest.approx(
-        sum(c["batched_wall_seconds"] for c in cells))
-    assert totals["batched_accesses_per_sec"] > 0
-    assert totals["batch_speedup"] > 0
 
 
-def test_cells_carry_batched_twin(quick_payload):
-    """Schema v4: every cell times a digest-checked batch-engine twin."""
-    assert quick_payload["batch_window"] > 0
+def test_cells_carry_no_batched_twin(quick_payload):
+    """Schema v8: one engine, so no cell times a batched twin run and
+    the totals carry no batched columns — they would time the same code
+    twice."""
+    assert "batch_window" not in quick_payload
+    assert set(quick_payload["throughput"]) == {
+        "total_wall_seconds", "total_accesses", "accesses_per_sec"}
     for cell in quick_payload["cells"]:
-        assert cell["batched_wall_seconds"] > 0
-        assert cell["batched_accesses_per_sec"] > 0
-        assert cell["batch_speedup"] == pytest.approx(
-            cell["wall_seconds"] / cell["batched_wall_seconds"], abs=0.01)
+        assert not [name for name in cell if name.startswith("batch")]
 
 
-def test_bench_refuses_diverged_batch_engine(monkeypatch):
-    """The speedup claim is gated on bit-identical results: when the
-    batched twin's RunResult differs from the scalar run's, the bench
-    raises instead of reporting a throughput for a buggy engine."""
-    import repro.experiments.runner as runner
-
-    _shrink_quick_suite(monkeypatch)
-
-    class FakeResult:
-        def __init__(self, cycles):
-            self.elapsed_cycles = cycles
-            self.access_rate = 1.0
-
-        def to_dict(self):
-            return {"elapsed_cycles": self.elapsed_cycles}
-
-        def speedup_over(self, other):
-            return other.elapsed_cycles / self.elapsed_cycles
-
-    calls = []
-
-    def fake_run_one(scheme, workload, config, **kwargs):
-        calls.append(config.batch_window)
-        # scalar run (batch_window == 0) and batched twin disagree
-        return FakeResult(100.0 if config.batch_window == 0 else 99.0)
-
-    monkeypatch.setattr(runner, "run_one", fake_run_one)
-    with pytest.raises(AssertionError, match="diverged"):
-        run_bench(quick=True, config=default_config(scale=0.25))
-    assert calls == [0, 256]
-
-
-def test_payload_batch_curve(quick_payload):
-    """Schema v7: the batch_window speedup curve is swept over the
-    pinned windows, anchored at the scalar point (w=0, speedup 1.0),
-    with every point carrying a positive wall time."""
-    from repro.experiments.bench import BENCH_CURVE_WINDOWS
-
-    curve = quick_payload["batch_curve"]
-    assert curve["workloads"] == QUICK_WORKLOADS
-    assert curve["variants"] == [key for key, _, _ in QUICK_VARIANTS]
-    points = {p["batch_window"]: p for p in curve["points"]}
-    assert sorted(points) == sorted(BENCH_CURVE_WINDOWS)
-    assert points[0]["speedup"] == 1.0
-    for point in curve["points"]:
-        assert point["wall_seconds"] > 0
-        assert point["speedup"] > 0
+def test_payload_has_no_batch_curve(quick_payload):
+    """Schema v8: no batch_window speedup curve — every window now runs
+    the same engine, so the curve would read ~1.0x at every point."""
+    assert "batch_curve" not in quick_payload
+    assert not [name for name in quick_payload if "curve" in name]
 
 
 def test_payload_figures_of_merit(quick_payload):

@@ -165,60 +165,12 @@ def test_current_overflow_against_finite_baseline_fails(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().out
 
 
-def test_batched_regression_fails(tmp_path, capsys):
-    """Schema v4: the batch engine's throughput is gated with the same
-    threshold as the scalar column."""
-    batched = {("nonm", "mcf"): 40000.0, ("silc", "mcf"): 20000.0}
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, batched=batched, batched_total=30000.0))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0,
-        batched={("nonm", "mcf"): 40000.0, ("silc", "mcf"): 10000.0},
-        batched_total=25000.0))
-    assert main([base, cur]) == 1
-    assert "silc/mcf:batched" in capsys.readouterr().err
-
-
-def test_batched_total_regression_fails(tmp_path, capsys):
-    batched = {("nonm", "mcf"): 40000.0, ("silc", "mcf"): 20000.0}
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, batched=batched, batched_total=30000.0))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, batched={k: v * 0.8 for k, v in batched.items()},
-        batched_total=20000.0))
-    assert main([base, cur]) == 1
-    assert "total:batched" in capsys.readouterr().err
-
-
 def test_pre_v4_baseline_skips_batched_gate(tmp_path):
-    """A baseline without batched columns gates nothing — regenerating
-    the baseline with the v4 harness turns the check on."""
+    """A baseline without batched columns gates nothing against a
+    current run that still carries them (schema v4-v7 payloads)."""
     base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
     cur = _write(tmp_path, "cur.json", _payload(
         BASE, 15000.0, batched={("silc", "mcf"): 1.0}, batched_total=1.0))
-    assert main([base, cur]) == 0
-
-
-def test_batched_column_dropped_fails(tmp_path, capsys):
-    """Baseline measured the batch engine but the current run carries no
-    batched column — the gate must not wave the engine's removal through."""
-    batched = {("nonm", "mcf"): 40000.0, ("silc", "mcf"): 20000.0}
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, batched=batched, batched_total=30000.0))
-    cur = _write(tmp_path, "cur.json", _payload(BASE, 15000.0))
-    assert main([base, cur]) == 1
-    captured = capsys.readouterr()
-    assert "missing" in captured.out
-    assert "total:batched" in captured.err
-
-
-def test_batched_improvement_passes(tmp_path):
-    batched = {("nonm", "mcf"): 40000.0, ("silc", "mcf"): 20000.0}
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, batched=batched, batched_total=30000.0))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, batched={k: v * 2 for k, v in batched.items()},
-        batched_total=60000.0))
     assert main([base, cur]) == 0
 
 
@@ -382,80 +334,28 @@ def test_new_service_section_without_baseline_is_a_note(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# closed-form window-curve gate (schema v7)
+# pre-v8 engine-comparison fields
 # ----------------------------------------------------------------------
-def _curve(speedups):
-    return {
-        "variants": ["nonm", "silc", "silc-compat"],
-        "workloads": ["mcf"],
-        "misses_per_core": 1500,
-        "points": [{"batch_window": window, "wall_seconds": 1.0,
-                    "speedup": speedup}
-                   for window, speedup in speedups.items()],
-    }
-
-
-def test_curve_within_threshold_passes(tmp_path, capsys):
+def test_pre_v8_batched_and_curve_fields_are_ignored(tmp_path, capsys):
+    """Schema v4-v7 baselines carry a batch-engine column and a speedup
+    curve.  Since v8 there is one engine: a current run without them,
+    or with far worse ones, is gated on its one throughput column
+    alone."""
+    batched = {key: rate * 2 for key, rate in BASE.items()}
+    curve = {"variants": ["nonm", "silc"], "workloads": ["mcf"],
+             "misses_per_core": 1500,
+             "points": [{"batch_window": 256, "wall_seconds": 1.0,
+                         "speedup": 1.62}]}
     base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40, 1024: 1.45})))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.25, 1024: 1.50})))
-    assert main([base, cur]) == 0
-    assert "batch_curve w=256: 1.40x -> 1.25x" in capsys.readouterr().out
-
-
-def test_curve_point_regression_fails(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40, 1024: 1.45})))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40, 1024: 1.00})))
-    assert main([base, cur]) == 1
-    assert "curve:w1024" in capsys.readouterr().err
-
-
-def test_curve_section_dropped_fails(tmp_path, capsys):
-    """Like the batched column: once the baseline measures the
-    closed-form curve, a current run without one is a failure."""
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40})))
-    cur = _write(tmp_path, "cur.json", _payload(BASE, 15000.0))
-    assert main([base, cur]) == 1
-    assert "curve:missing" in capsys.readouterr().err
-
-
-def test_curve_missing_window_fails(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40, 4096: 1.50})))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40})))
-    assert main([base, cur]) == 1
-    captured = capsys.readouterr()
-    assert "curve:w4096" in captured.err
-    assert "missing" in captured.out
-
-
-def test_pre_v7_baselines_skip_curve_gate(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
+        BASE, 15000.0, batched=batched, batched_total=30000.0,
+        curve=curve))
     cur = _write(tmp_path, "cur.json", _payload(BASE, 15000.0))
     assert main([base, cur]) == 0
-    assert "closed-form gate skipped" in capsys.readouterr().out
-
-
-def test_new_curve_without_baseline_is_a_note(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _payload(BASE, 15000.0))
-    cur = _write(tmp_path, "cur.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40})))
-    assert main([base, cur]) == 0
-    assert "new batch_curve section" in capsys.readouterr().out
-
-
-def test_curve_improvement_and_tighter_threshold(tmp_path):
-    base = _write(tmp_path, "base.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.40})))
-    better = _write(tmp_path, "better.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 2.80})))
-    assert main([base, better]) == 0
-    slightly_off = _write(tmp_path, "off.json", _payload(
-        BASE, 15000.0, curve=_curve({256: 1.20})))   # ~14% drop
-    assert main([base, slightly_off]) == 0           # default 25% gate
-    assert main([base, slightly_off, "--threshold", "0.1"]) == 1
+    stale = _write(tmp_path, "stale.json", _payload(
+        BASE, 15000.0, batched={key: 1.0 for key in BASE},
+        batched_total=1.0,
+        curve=dict(curve, points=[dict(curve["points"][0], speedup=0.1)])))
+    assert main([base, stale]) == 0
+    out = capsys.readouterr().out
+    assert "batch" not in out
+    assert "curve" not in out

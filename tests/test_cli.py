@@ -137,14 +137,8 @@ def test_bench_quick_command(tmp_path, capsys, monkeypatch):
                    "misses_per_core": 1500, "elapsed_cycles": 1.0,
                    "access_rate": 0.5}],
         "throughput": {"total_wall_seconds": 0.5, "total_accesses": 6000,
-                       "accesses_per_sec": 12000.0, "batch_speedup": 1.62},
+                       "accesses_per_sec": 12000.0},
         "figures_of_merit": {"speedup_over_nonm": {}},
-        "batch_curve": {"variants": ["silc"], "workloads": ["mcf"],
-                        "misses_per_core": 1500,
-                        "points": [{"batch_window": 0, "wall_seconds": 0.5,
-                                    "speedup": 1.0},
-                                   {"batch_window": 256, "wall_seconds": 0.31,
-                                    "speedup": 1.62}]},
     }
     seen = {}
 
@@ -158,9 +152,7 @@ def test_bench_quick_command(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "BENCH_2026-01-02.json").exists()
     out = capsys.readouterr().out
     assert "bench (quick)" in out
-    assert "batch speedup 1.62x" in out
-    assert "batch_window speedup curve" in out
-    assert "w=256: 1.62x" in out
+    assert "total: 6,000 accesses in 0.50s (12,000/s)" in out
     assert "wrote" in out
 
 
